@@ -1,13 +1,11 @@
 #include "obdd/obdd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <set>
 
-#include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/hashing.h"
 
@@ -23,8 +21,8 @@ ObddManager::ObddManager(std::vector<int> var_order, Options options)
     (void)it;
   }
   // Terminals occupy ids 0 and 1 with a sentinel level beyond the last.
-  nodes_.PushBack({num_levels(), -1, -1});
-  nodes_.PushBack({num_levels(), -1, -1});
+  store_.Alloc({num_levels(), -1, -1});
+  store_.Alloc({num_levels(), -1, -1});
 }
 
 int ObddManager::LevelOf(int var) const {
@@ -40,112 +38,54 @@ ObddManager::NodeId ObddManager::MakeNodeT(int level, NodeId lo, NodeId hi) {
   // while a budget is attached, and a tripped budget is re-observed at
   // the next lease refill (denying the allocation) anyway.
   if ((lo | hi) < 0) return kAborted;
-  CTSDD_CHECK_LT(level, nodes_[lo].level);
-  CTSDD_CHECK_LT(level, nodes_[hi].level);
-  const uint64_t hash = Hash3(static_cast<uint64_t>(level),
-                              static_cast<uint64_t>(lo),
-                              static_cast<uint64_t>(hi));
+  CTSDD_CHECK_LT(level, store_[lo].level);
+  CTSDD_CHECK_LT(level, store_[hi].level);
+  const uint64_t hash = NodeHash(level, lo, hi);
   const auto eq = [&](int32_t id) {
-    const Node& n = nodes_[id];
+    const Node& n = store_[id];
     return n.level == level && n.lo == lo && n.hi == hi;
   };
   if constexpr (kPar) {
-    return unique_.FindOrInsert(
-        hash, eq, [&] { return AllocNodePar(level, lo, hi); });
+    return store_.unique().FindOrInsert(hash, eq, [&] {
+      const size_t slot = 1 + static_cast<size_t>(pool_->CurrentSlot());
+      if (budget() != nullptr) store_.Charge(slot);
+      CTSDD_FAULT_POINT("obdd.alloc");
+      return store_.AllocIn(slot, {level, lo, hi});
+    });
   } else {
-    const int32_t found = unique_.Find(hash, eq);
+    const int32_t found = store_.unique().Find(hash, eq);
     if (found != UniqueTable::kEmpty) return found;
-    if (budget_ != nullptr && !ChargeSeq()) return kAborted;
+    if (budget() != nullptr && !store_.Charge(0)) return kAborted;
     CTSDD_FAULT_POINT("obdd.alloc");
-    NodeId id;
-    if (!free_ids_.empty()) {
-      id = free_ids_.back();
-      free_ids_.pop_back();
-      nodes_[id] = {level, lo, hi};
-    } else {
-      id = static_cast<NodeId>(nodes_.PushBack({level, lo, hi}));
-    }
-    unique_.Insert(hash, id);
+    const NodeId id = store_.Alloc({level, lo, hi});
+    store_.unique().Insert(hash, id);
     return id;
   }
-}
-
-ObddManager::NodeId ObddManager::AllocNodePar(int level, NodeId lo,
-                                              NodeId hi) {
-  AllocCursor& cursor = alloc_cursors_[pool_->CurrentSlot()];
-  if (budget_ != nullptr) ChargePar(cursor);
-  CTSDD_FAULT_POINT("obdd.alloc");
-  if (!cursor.recycled.empty()) {
-    const NodeId id = cursor.recycled.back();
-    cursor.recycled.pop_back();
-    nodes_[id] = {level, lo, hi};
-    return id;
-  }
-  if (cursor.next == cursor.end) {
-    // Refill from the GC free list before claiming fresh ids: without
-    // reuse, every parallel operation would grow the store past what
-    // collection can ever reclaim.
-    {
-      SpinLockGuard guard(free_ids_lock_);
-      const size_t take = std::min(kAllocBlock, free_ids_.size());
-      if (take > 0) {
-        cursor.recycled.assign(free_ids_.end() - take, free_ids_.end());
-        free_ids_.resize(free_ids_.size() - take);
-      }
-    }
-    if (!cursor.recycled.empty()) {
-      const NodeId id = cursor.recycled.back();
-      cursor.recycled.pop_back();
-      nodes_[id] = {level, lo, hi};
-      return id;
-    }
-    cursor.next = nodes_.ClaimBlock(kAllocBlock);
-    cursor.end = cursor.next + kAllocBlock;
-  }
-  const NodeId id = static_cast<NodeId>(cursor.next++);
-  nodes_[id] = {level, lo, hi};
-  return id;
 }
 
 ObddManager::NodeId ObddManager::MakeNode(int level, NodeId lo, NodeId hi) {
   thread_check_.Check();
-  return par_active_ ? MakeNodeT<true>(level, lo, hi)
-                     : MakeNodeT<false>(level, lo, hi);
+  return InParallelRegion() ? MakeNodeT<true>(level, lo, hi)
+                            : MakeNodeT<false>(level, lo, hi);
 }
 
 void ObddManager::BeginParallelRegion() {
   CTSDD_CHECK(pool_ != nullptr && pool_->parallel())
       << "BeginParallelRegion without a parallel executor attached";
-  CTSDD_CHECK(!par_active_) << "parallel regions do not nest";
   CTSDD_CHECK_EQ(op_depth_, 0) << "parallel region inside an operation";
   thread_check_.Check();  // verify ownership before suspending it
+  store_.BeginRegion(static_cast<size_t>(pool_->max_slots()));
   thread_check_.BeginShared();
-  alloc_cursors_.assign(pool_->max_slots(), AllocCursor{});
   // Pre-size the striped caches: they cannot grow while the region runs,
   // and warm-up thrash on the apply path is pure recomputation.
   ite_cache_.BeginConcurrent(1 << 16);
   nary_cache_.BeginConcurrent(1 << 12);
   ite_memo_.BeginConcurrent();
   nary_memo_.BeginConcurrent();
-  par_active_ = true;
 }
 
 void ObddManager::EndParallelRegion() {
-  CTSDD_CHECK(par_active_);
-  par_active_ = false;
-  // Unused tails of per-worker id blocks become ordinary free-list
-  // entries: marked dead, reusable by the next sequential MakeNode, and
-  // invisible to GC marking.
-  for (AllocCursor& cursor : alloc_cursors_) {
-    for (size_t id = cursor.next; id < cursor.end; ++id) {
-      nodes_[id] = {kDeadLevel, -1, -1};
-      free_ids_.push_back(static_cast<NodeId>(id));
-    }
-    // Unused recycled ids go back too (they are already dead-marked).
-    free_ids_.insert(free_ids_.end(), cursor.recycled.begin(),
-                     cursor.recycled.end());
-    cursor = AllocCursor{};
-  }
+  store_.EndRegion();
   ite_cache_.EndConcurrent();
   nary_cache_.EndConcurrent();
   ite_memo_.EndConcurrent();
@@ -160,65 +100,13 @@ void ObddManager::EndParallelRegion() {
 void ObddManager::AttachBudget(WorkBudget* budget) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "AttachBudget inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachBudget inside a parallel region";
-  budget_ = budget;
-  budget_lease_ = 0;
-  lease_chunk_ = 0;
-  if (budget != nullptr) {
-    // Lease granularity: fine enough that overshoot stays within the
-    // acceptance bound (<= budget/16), coarse enough that the shared
-    // atomic is off the per-node path.
-    const uint64_t b = budget->node_budget();
-    lease_chunk_ = static_cast<uint32_t>(
-        b == 0 ? 256
-               : std::min<uint64_t>(256, std::max<uint64_t>(1, b / 16)));
-  }
-}
-
-bool ObddManager::RefillSeqLease() {
-  if (!AdmitMemGrowth()) return false;
-  budget_lease_ = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  if (budget_lease_ == 0) return false;
-  --budget_lease_;
-  return true;
-}
-
-void ObddManager::RefillParLease(AllocCursor& cursor) {
-  if (!AdmitMemGrowth()) {
-    cursor.lease = 0;
-    return;
-  }
-  cursor.lease = static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  if (cursor.lease > 0) --cursor.lease;
-}
-
-bool ObddManager::AdmitMemGrowth() {
-  if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
-  // Worst-case accounted growth before the next refill check: the unique
-  // table may double (possibly twice while small), each memo shard may
-  // double or lazily allocate, and the node store may open fresh chunks.
-  // Charging is deny-before-allocate at this seam only, so the margin
-  // must cover everything mandatory-charged in between. Memo bytes come
-  // from the account's atomic per-layer counter, not the memos' num_slots
-  // walk — parallel workers hit this seam while other stripes grow.
-  const uint64_t burst =
-      2 * unique_.MemoryBytes() +
-      static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
-      kMemBurstSlack;
-  if (mem_governor_->AdmitProjected(burst)) return true;
-  budget_->MarkMemoryPressure();
-  budget_->Cancel(StatusCode::kResourceExhausted);
-  return false;
+  store_.AttachBudget(budget);
 }
 
 void ObddManager::AttachMemAccount(MemAccount* account) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "AttachMemAccount inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachMemAccount inside a parallel region";
-  mem_account_ = account;
-  mem_governor_ = account != nullptr ? account->governor() : nullptr;
-  nodes_.SetMemAccount(account);
-  unique_.SetMemAccount(account);
+  store_.AttachMemAccount(account);
   ite_cache_.SetMemAccount(account);
   nary_cache_.SetMemAccount(account);
   ite_memo_.SetMemAccount(account);
@@ -226,26 +114,12 @@ void ObddManager::AttachMemAccount(MemAccount* account) {
 }
 
 Status ObddManager::Validate() const {
+  CTSDD_RETURN_IF_ERROR(store_.Validate());
   const int levels = num_levels();
-  const size_t n = nodes_.size();
-  std::vector<bool> dead(n, false);
-  for (const NodeId id : free_ids_) {
-    if (id < 2 || static_cast<size_t>(id) >= n) {
-      return Status::Internal("free-list id out of range");
-    }
-    if (nodes_[id].level != kDeadLevel) {
-      return Status::Internal("free-list id not dead-marked");
-    }
-    dead[id] = true;
-  }
+  const size_t n = store_.size();
   for (size_t id = 2; id < n; ++id) {
-    const Node& node = nodes_[id];
-    if (node.level == kDeadLevel) {
-      if (!dead[id]) {
-        return Status::Internal("dead node missing from the free list");
-      }
-      continue;
-    }
+    const Node& node = store_[id];
+    if (StoreTraits::IsDead(node)) continue;
     if (node.level < 0 || node.level >= levels) {
       return Status::Internal("node level out of range");
     }
@@ -256,17 +130,15 @@ Status ObddManager::Validate() const {
     if (node.lo == node.hi) {
       return Status::Internal("unreduced node (lo == hi)");
     }
-    if (nodes_[node.lo].level <= node.level ||
-        nodes_[node.hi].level <= node.level) {
+    if (store_[node.lo].level <= node.level ||
+        store_[node.hi].level <= node.level) {
       return Status::Internal("child level not below parent (or dead child)");
     }
-    const uint64_t hash = Hash3(static_cast<uint64_t>(node.level),
-                                static_cast<uint64_t>(node.lo),
-                                static_cast<uint64_t>(node.hi));
-    const int32_t found = unique_.Find(hash, [&](int32_t cand) {
-      const Node& c = nodes_[cand];
-      return c.level == node.level && c.lo == node.lo && c.hi == node.hi;
-    });
+    const int32_t found =
+        store_.unique().Find(StoreTraits::Hash(node), [&](int32_t cand) {
+          const Node& c = store_[cand];
+          return c.level == node.level && c.lo == node.lo && c.hi == node.hi;
+        });
     if (found != static_cast<int32_t>(id)) {
       return Status::Internal(
           found == UniqueTable::kEmpty
@@ -279,109 +151,31 @@ Status ObddManager::Validate() const {
 
 void ObddManager::AddRootRef(NodeId id) {
   thread_check_.Check();
-  if (IsTerminal(id)) return;
-  CTSDD_CHECK_NE(nodes_[id].level, kDeadLevel);
-  if (external_refs_.size() < nodes_.size()) {
-    external_refs_.resize(nodes_.size(), 0);
-  }
-  ++external_refs_[id];
+  store_.AddRootRef(id);
 }
 
 void ObddManager::ReleaseRootRef(NodeId id) {
   thread_check_.Check();
-  if (IsTerminal(id)) return;
-  CTSDD_CHECK(id >= 0 && static_cast<size_t>(id) < external_refs_.size() &&
-              external_refs_[id] > 0)
-      << "ReleaseRootRef without a matching AddRootRef";
-  --external_refs_[id];
+  store_.ReleaseRootRef(id);
 }
 
 size_t ObddManager::GarbageCollect() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "GC inside an operation";
-  CTSDD_CHECK(!par_active_) << "GC inside a parallel region";
-  obs::TraceSpan gc_span("gc", "obdd.gc");
-  ++gc_stats_.runs;
-  // Mark from the registered external roots.
-  std::vector<uint8_t> marked(nodes_.size(), 0);
-  marked[kFalse] = marked[kTrue] = 1;
-  std::vector<NodeId> roots;
-  for (size_t id = 0; id < external_refs_.size(); ++id) {
-    if (external_refs_[id] > 0) roots.push_back(static_cast<NodeId>(id));
-  }
-  if (pool_ != nullptr && pool_->parallel() && roots.size() > 1) {
-    // Mark as exec tasks, one DFS per root: claiming a node with a
-    // relaxed atomic exchange makes subgraphs shared between roots
-    // traverse exactly once, and running on the shared pool lets a cold
-    // compile on another shard overlap this GC pause instead of
-    // serializing behind it.
-    exec::ParallelFor(pool_, roots.size(), [&](size_t i) {
-      std::vector<NodeId> stack{roots[i]};
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        if (std::atomic_ref<uint8_t>(marked[u]).exchange(
-                1, std::memory_order_relaxed)) {
-          continue;
-        }
-        stack.push_back(nodes_[u].lo);
-        stack.push_back(nodes_[u].hi);
-      }
-    });
-  } else {
-    std::vector<NodeId> stack = std::move(roots);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      if (marked[u]) continue;
-      marked[u] = 1;
-      stack.push_back(nodes_[u].lo);
-      stack.push_back(nodes_[u].hi);
-    }
-  }
-  // Sweep: dead internal nodes go to the free list; the unique table is
-  // rebuilt over the survivors (open addressing cannot delete in place).
-  size_t live = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    if (marked[id] && nodes_[id].level != kDeadLevel) ++live;
-  }
-  unique_.Clear(live);
-  size_t reclaimed = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    Node& n = nodes_[id];
-    if (n.level == kDeadLevel) continue;  // already on the free list
-    if (!marked[id]) {
-      n = {kDeadLevel, -1, -1};
-      free_ids_.push_back(static_cast<NodeId>(id));
-      ++reclaimed;
-      continue;
-    }
-    unique_.Insert(Hash3(static_cast<uint64_t>(n.level),
-                         static_cast<uint64_t>(n.lo),
-                         static_cast<uint64_t>(n.hi)),
-                   static_cast<int32_t>(id));
-  }
-  // Freed ids may be reused, so cached results naming them must go.
-  ite_cache_.Clear();
-  nary_cache_.Clear();
-  gc_stats_.reclaimed += reclaimed;
-#ifndef NDEBUG
-  // GC is a quiescent point: the rolled-up account must agree with the
-  // recomputed per-structure bytes exactly, or accounting has drifted.
-  if (mem_account_ != nullptr) {
-    CTSDD_CHECK_EQ(mem_account_->bytes(),
-                   static_cast<uint64_t>(MemoryBytes()))
-        << "OBDD memory accounting drift after GC";
-  }
-#endif
-  gc_span.AddArg("reclaimed", reclaimed);
-  return reclaimed;
+  return store_.Collect(
+      "obdd.gc", pool_, {}, [](NodeId, const Node&) {},
+      [&] {
+        // Freed ids may be reused, so cached results naming them must go.
+        ite_cache_.Clear();
+        nary_cache_.Clear();
+      },
+      [&] { return MemoryBytes(); });
 }
 
 void ObddManager::ShrinkCaches() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(op_depth_, 0) << "ShrinkCaches inside an operation";
-  CTSDD_CHECK(!par_active_) << "ShrinkCaches inside a parallel region";
+  CTSDD_CHECK(!InParallelRegion()) << "ShrinkCaches inside a parallel region";
   ite_cache_.Shrink();
   nary_cache_.Shrink();
   ite_memo_.Shrink();
@@ -396,18 +190,18 @@ ObddManager::NodeId ObddManager::Literal(int var, bool positive) {
 }
 
 ObddManager::NodeId ObddManager::CofactorLo(NodeId f, int level) const {
-  const Node& n = nodes_[f];
+  const Node& n = store_[f];
   return n.level == level ? n.lo : f;
 }
 
 ObddManager::NodeId ObddManager::CofactorHi(NodeId f, int level) const {
-  const Node& n = nodes_[f];
+  const Node& n = store_[f];
   return n.level == level ? n.hi : f;
 }
 
 ObddManager::NodeId ObddManager::Ite(NodeId f, NodeId g, NodeId h) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     // Nested call issued from inside an open region (a compiler task or
     // a caller that spans several operations in one region): recurse on
     // the concurrent path; the region owner resets the memos.
@@ -428,7 +222,7 @@ ObddManager::NodeId ObddManager::Ite(NodeId f, NodeId g, NodeId h) {
 template <bool kPar>
 ObddManager::NodeId ObddManager::IteRecT(NodeId f, NodeId g, NodeId h,
                                          int depth) {
-  if (budget_ != nullptr && ((f | g | h) < 0 || budget_->tripped())) {
+  if (budget() != nullptr && ((f | g | h) < 0 || budget()->tripped())) {
     return kAborted;
   }
   // Terminal cases.
@@ -449,7 +243,7 @@ ObddManager::NodeId ObddManager::IteRecT(NodeId f, NodeId g, NodeId h,
     if (ite_memo_.Lookup(hash, key, &cached)) return cached;
   }
   const int level =
-      std::min({nodes_[f].level, nodes_[g].level, nodes_[h].level});
+      std::min({store_[f].level, store_[g].level, store_[h].level});
   const NodeId fl = CofactorLo(f, level), gl = CofactorLo(g, level),
                hl = CofactorLo(h, level);
   const NodeId fh = CofactorHi(f, level), gh = CofactorHi(g, level),
@@ -469,7 +263,7 @@ ObddManager::NodeId ObddManager::IteRecT(NodeId f, NodeId g, NodeId h,
     hi = IteRecT<false>(fh, gh, hh, depth + 1);
   }
   const NodeId result = MakeNodeT<kPar>(level, lo, hi);
-  if (budget_ != nullptr && result < 0) return result;  // never cached
+  if (budget() != nullptr && result < 0) return result;  // never cached
   if constexpr (kPar) {
     ite_cache_.StoreC(hash, key, result);
     ite_memo_.InsertC(hash, key, result);
@@ -499,7 +293,7 @@ ObddManager::NodeId ObddManager::Xor(NodeId f, NodeId g) {
 ObddManager::NodeId ObddManager::ApplyN(std::vector<NodeId> ops,
                                         bool is_and) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     return ApplyNRecT<true>(std::move(ops), is_and, 0);
   }
   if (pool_ != nullptr && pool_->parallel()) {
@@ -517,8 +311,8 @@ ObddManager::NodeId ObddManager::ApplyN(std::vector<NodeId> ops,
 template <bool kPar>
 ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
                                             bool is_and, int depth) {
-  if (budget_ != nullptr) {
-    if (budget_->tripped()) return kAborted;
+  if (budget() != nullptr) {
+    if (budget()->tripped()) return kAborted;
     for (const NodeId op : ops) {
       if (op < 0) return kAborted;
     }
@@ -536,7 +330,7 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
   for (const NodeId op : ops) {
     if (op == absorbing) return absorbing;
     if (op != neutral) {
-      keyed.push_back((static_cast<uint64_t>(nodes_[op].level) << 32) |
+      keyed.push_back((static_cast<uint64_t>(store_[op].level) << 32) |
                       static_cast<uint32_t>(op));
     }
   }
@@ -566,7 +360,7 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
     if (nary_cache_.Lookup(hash, key, &cached)) return cached;
     if (nary_memo_.Lookup(hash, key, &cached)) return cached;
   }
-  const int level = nodes_[ops[0]].level;  // min level after the sort
+  const int level = store_[ops[0]].level;  // min level after the sort
   std::vector<NodeId> lo_ops;
   std::vector<NodeId> hi_ops;
   lo_ops.reserve(ops.size());
@@ -593,7 +387,7 @@ ObddManager::NodeId ObddManager::ApplyNRecT(std::vector<NodeId> ops,
     hi = ApplyNRecT<false>(std::move(hi_ops), is_and, depth + 1);
   }
   const NodeId result = MakeNodeT<kPar>(level, lo, hi);
-  if (budget_ != nullptr && result < 0) return result;  // never cached
+  if (budget() != nullptr && result < 0) return result;  // never cached
   if constexpr (kPar) {
     nary_cache_.StoreC(hash, key, result);
     nary_memo_.InsertC(hash, std::move(key), result);
@@ -618,14 +412,14 @@ ObddManager::NodeId ObddManager::Restrict(NodeId f, int var, bool value) {
   // Recursive restrict with a local cache keyed by node id.
   std::unordered_map<NodeId, NodeId> cache;
   std::function<NodeId(NodeId)> rec = [&](NodeId u) -> NodeId {
-    if (IsTerminal(u) || nodes_[u].level > level) return u;
+    if (IsTerminal(u) || store_[u].level > level) return u;
     const auto it = cache.find(u);
     if (it != cache.end()) return it->second;
     NodeId result;
-    if (nodes_[u].level == level) {
-      result = value ? nodes_[u].hi : nodes_[u].lo;
+    if (store_[u].level == level) {
+      result = value ? store_[u].hi : store_[u].lo;
     } else {
-      result = MakeNode(nodes_[u].level, rec(nodes_[u].lo), rec(nodes_[u].hi));
+      result = MakeNode(store_[u].level, rec(store_[u].lo), rec(store_[u].hi));
     }
     cache.emplace(u, result);
     return result;
@@ -637,7 +431,7 @@ bool ObddManager::Evaluate(NodeId f,
                            const std::vector<bool>& values_by_level) const {
   CTSDD_CHECK_EQ(static_cast<int>(values_by_level.size()), num_levels());
   while (!IsTerminal(f)) {
-    const Node& n = nodes_[f];
+    const Node& n = store_[f];
     f = values_by_level[n.level] ? n.hi : n.lo;
   }
   return f == kTrue;
@@ -653,16 +447,16 @@ uint64_t ObddManager::CountModels(NodeId f) const {
     if (u == kTrue) return 1;
     const auto it = memo.find(u);
     if (it != memo.end()) return it->second;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     const uint64_t lo = rec(n.lo)
-                        << (nodes_[n.lo].level - n.level - 1);
+                        << (store_[n.lo].level - n.level - 1);
     const uint64_t hi = rec(n.hi)
-                        << (nodes_[n.hi].level - n.level - 1);
+                        << (store_[n.hi].level - n.level - 1);
     const uint64_t result = lo + hi;
     memo.emplace(u, result);
     return result;
   };
-  return rec(f) << nodes_[f].level;
+  return rec(f) << store_[f].level;
 }
 
 double ObddManager::WeightedModelCount(
@@ -674,7 +468,7 @@ double ObddManager::WeightedModelCount(
     if (u == kTrue) return 1.0;
     const auto it = memo.find(u);
     if (it != memo.end()) return it->second;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     const double p = prob_by_level[n.level];
     const double result = (1.0 - p) * rec(n.lo) + p * rec(n.hi);
     memo.emplace(u, result);
@@ -691,8 +485,8 @@ int ObddManager::Size(NodeId f) const {
     stack.pop_back();
     if (IsTerminal(u) || seen.count(u)) continue;
     seen.insert(u);
-    stack.push_back(nodes_[u].lo);
-    stack.push_back(nodes_[u].hi);
+    stack.push_back(store_[u].lo);
+    stack.push_back(store_[u].hi);
   }
   return static_cast<int>(seen.size());
 }
@@ -706,9 +500,9 @@ std::vector<int> ObddManager::LevelProfile(NodeId f) const {
     stack.pop_back();
     if (IsTerminal(u) || seen.count(u)) continue;
     seen.insert(u);
-    ++profile[nodes_[u].level];
-    stack.push_back(nodes_[u].lo);
-    stack.push_back(nodes_[u].hi);
+    ++profile[store_[u].level];
+    stack.push_back(store_[u].lo);
+    stack.push_back(store_[u].hi);
   }
   return profile;
 }

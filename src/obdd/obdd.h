@@ -6,14 +6,14 @@
 // paper measures functions by OBDD *width* — the largest number of nodes
 // labeled by the same variable — which this package reports alongside size.
 //
-// Storage follows the classic BDD-package layout: nodes live in a chunked
-// stable-address store indexed by dense ids (util/node_store.h),
-// hash-consed through an open-addressed unique table
-// (util/unique_table.h); operation results are memoized in bounded
-// computed caches (util/computed_cache.h) that stay fixed-size no matter
-// how long the operation sequence runs. Cache eviction can only cost
-// recomputation, never change results — canonicity lives in the unique
-// table alone.
+// Storage follows the classic BDD-package layout: nodes live in the
+// diagram store shared with the SDD manager (util/diagram_store.h: a
+// chunked stable-address node store indexed by dense ids, hash-consed
+// through an open-addressed unique table); operation results are
+// memoized in bounded computed caches (util/computed_cache.h) that stay
+// fixed-size no matter how long the operation sequence runs. Cache
+// eviction can only cost recomputation, never change results — canonicity
+// lives in the unique table alone.
 //
 // Parallel apply (exec/): AttachExecutor hands the manager a
 // work-stealing pool; Ite and the n-ary folds then fork their independent
@@ -37,14 +37,13 @@
 #include "exec/task_pool.h"
 #include "util/budget.h"
 #include "util/computed_cache.h"
+#include "util/diagram_store.h"
+#include "util/hashing.h"
 #include "util/logging.h"
 #include "util/mem_governor.h"
-#include "util/node_store.h"
 #include "util/scoped_memo.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/thread_check.h"
-#include "util/unique_table.h"
 
 namespace ctsdd {
 
@@ -133,12 +132,10 @@ class ObddManager {
   std::vector<int> LevelProfile(NodeId f) const;
 
   // Total node slots ever created (manager footprint high-water mark).
-  int NumNodes() const { return static_cast<int>(nodes_.size()); }
+  int NumNodes() const { return static_cast<int>(store_.size()); }
   // Nodes currently resident (slots minus the GC free list), terminals
   // included. This is the quantity a long-running service bounds.
-  int NumLiveNodes() const {
-    return static_cast<int>(nodes_.size() - free_ids_.size());
-  }
+  int NumLiveNodes() const { return static_cast<int>(store_.NumLive()); }
 
   // --- Parallel execution ------------------------------------------------
   //
@@ -153,35 +150,26 @@ class ObddManager {
 
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
-  bool InParallelRegion() const { return par_active_; }
+  bool InParallelRegion() const { return store_.in_region(); }
 
   void BeginParallelRegion();
   void EndParallelRegion();
 
   // --- Budgets and cancellation ------------------------------------------
   //
-  // While a budget is attached, every operation that allocates nodes
-  // (Ite/AndN/OrN/MakeNode and the compilers built on them) charges the
-  // budget per node allocation (amortized through per-context leases)
-  // and unwinds with kAborted once it trips — on node exhaustion, on
-  // deadline, or on an external Cancel(). The abort is cooperative and
-  // exception-free: recursions observe a negative operand or the tripped
-  // flag and return kAborted without touching the unique table or
-  // caches, so the manager stays Validate()-clean and a post-abort
-  // recompile (after detaching or refreshing the budget) is
-  // pointer-identical by canonicity. Attach/Detach must happen outside
-  // operations and parallel regions. With no budget attached the hot
-  // path pays a single predictable branch.
+  // Contract: see util/diagram_store.h. Allocating operations unwind with
+  // kAborted once the budget trips, leaving no trace in the unique table
+  // or caches, so a post-abort recompile is pointer-identical.
 
   void AttachBudget(WorkBudget* budget);
   void DetachBudget() { AttachBudget(nullptr); }
-  WorkBudget* budget() const { return budget_; }
+  WorkBudget* budget() const { return store_.budget(); }
   bool AbortRequested() const {
-    return budget_ != nullptr && budget_->tripped();
+    return budget() != nullptr && budget()->tripped();
   }
   // Cancel token for exec::ParallelFor, or nullptr without a budget.
   const std::atomic<bool>* budget_token() const {
-    return budget_ == nullptr ? nullptr : budget_->token();
+    return budget() == nullptr ? nullptr : budget()->token();
   }
 
   // Structural self-check: every live node is reduced (lo != hi), level-
@@ -192,41 +180,24 @@ class ObddManager {
 
   // --- Memory accounting --------------------------------------------------
   //
-  // AttachMemAccount charges every byte-owning structure (node store,
-  // unique table, computed caches, per-operation memos) to `account`,
-  // transferring the already-resident bytes; pass nullptr to detach.
-  // When the account chains to an enabled MemGovernor AND a budget is
-  // attached, the budget-lease refill seams become enforcement points:
-  // a refill whose worst-case allocation burst no longer fits under the
-  // hard watermark trips the budget typed RESOURCE_EXHAUSTED with the
-  // memory-pressure marker *before* allocating, so accounted bytes never
-  // cross the ceiling. Attach outside operations and parallel regions.
+  // Contract: see util/diagram_store.h. The account covers the node
+  // store, unique table, computed caches and per-operation memos.
 
   void AttachMemAccount(MemAccount* account);
-  MemAccount* mem_account() const { return mem_account_; }
+  MemAccount* mem_account() const { return store_.mem_account(); }
   // Recomputed accounted-resident bytes across all instrumented
   // structures; equals mem_account()->bytes() at quiescent points
   // (debug-asserted at the end of every GarbageCollect).
   size_t MemoryBytes() const {
-    return nodes_.MemoryBytes() + unique_.MemoryBytes() +
-           ite_cache_.MemoryBytes() + nary_cache_.MemoryBytes() +
-           ite_memo_.MemoryBytes() + nary_memo_.MemoryBytes();
+    return store_.MemoryBytes() + ite_cache_.MemoryBytes() +
+           nary_cache_.MemoryBytes() + ite_memo_.MemoryBytes() +
+           nary_memo_.MemoryBytes();
   }
 
   // --- Memory lifecycle -------------------------------------------------
   //
-  // The manager never frees nodes on its own: canonicity requires every
-  // reachable node to stay in the unique table, and the manager cannot
-  // see which ids a caller still holds. Callers that want collection
-  // register the roots they care about; GarbageCollect() then marks from
-  // the registered roots (plus the terminals), sweeps every unreachable
-  // internal node onto a free list for MakeNode to reuse, and rebuilds
-  // the unique table over the survivors. Live node ids never change, so
-  // held NodeIds of protected roots (and anything they reach) stay valid,
-  // and recompiling a collected function reproduces pointer-identical ids
-  // for every surviving subgraph (canonicity is preserved — the tests pin
-  // this down). The computed caches are invalidated (freed ids may be
-  // reused) but that only costs recomputation.
+  // Contract: see util/diagram_store.h. Roots are the terminals plus the
+  // registered ones; a collection invalidates the computed caches.
 
   // Registers `id` as an external root (ref-counted: k calls require k
   // releases). Terminals need no protection.
@@ -244,11 +215,8 @@ class ObddManager {
   // GarbageCollect() when a service wants a manager back to baseline.
   void ShrinkCaches();
 
-  struct GcStats {
-    uint64_t runs = 0;       // GarbageCollect() invocations
-    uint64_t reclaimed = 0;  // nodes freed across all runs
-  };
-  const GcStats& gc_stats() const { return gc_stats_; }
+  using GcStats = ctsdd::GcStats;
+  const GcStats& gc_stats() const { return store_.gc_stats(); }
 
   // Releases thread-affinity (debug builds assert single-threaded use);
   // the next operation binds the manager to its calling thread.
@@ -259,7 +227,7 @@ class ObddManager {
     NodeId lo;
     NodeId hi;
   };
-  const Node& node(NodeId id) const { return nodes_[id]; }
+  const Node& node(NodeId id) const { return store_[id]; }
   bool IsTerminal(NodeId id) const { return id <= 1; }
 
  private:
@@ -273,9 +241,8 @@ class ObddManager {
   // region-scoped instead (reset at EndParallelRegion), and both
   // memoization levels go through their lock-striped protocols.
   //
-  // The recursions are templated on the protocol: the kPar == false
-  // instantiation is the original single-owner code path, untouched; the
-  // kPar == true instantiation forks cofactor branches while depth <
+  // The recursions are templated on the protocol: kPar == false is the
+  // single-owner path; kPar == true forks cofactor branches while depth <
   // kForkDepth and uses the concurrent unique-table/cache entry points.
   NodeId ApplyN(std::vector<NodeId> ops, bool is_and);
   template <bool kPar>
@@ -284,10 +251,6 @@ class ObddManager {
   NodeId IteRecT(NodeId f, NodeId g, NodeId h, int depth);
   template <bool kPar>
   NodeId ApplyNRecT(std::vector<NodeId> ops, bool is_and, int depth);
-  // Node allocation inside a parallel region: bump-allocates from the
-  // calling worker's claimed id block (util/node_store.h ClaimBlock), so
-  // the only cross-worker allocation traffic is one fetch_add per block.
-  NodeId AllocNodePar(int level, NodeId lo, NodeId hi);
   void LeaveOp() {
     if (--op_depth_ == 0) {
       ite_memo_.Reset();
@@ -311,89 +274,36 @@ class ObddManager {
   // through the unbalanced subproblem sizes apply produces, while deep
   // recursions stay fork-free.
   static constexpr int kForkDepth = 7;
-  static constexpr size_t kAllocBlock = 128;  // ids per worker claim
 
-  struct AllocCursor {
-    size_t next = 0;
-    size_t end = 0;
-    // Remaining node allocations pre-charged against the attached
-    // budget (see ChargePar).
-    uint32_t lease = 0;
-    // GC-recycled ids batched out of the shared free list (see
-    // AllocNodePar — parallel regions must reuse freed ids or the node
-    // store would grow monotonically across GC cycles).
-    std::vector<NodeId> recycled;
+  // A freed slot's level, so stale-id use trips level checks fast.
+  static constexpr int kDeadLevel = -2;
+  static uint64_t NodeHash(int level, NodeId lo, NodeId hi) {
+    return Hash3(static_cast<uint64_t>(level), static_cast<uint64_t>(lo),
+                 static_cast<uint64_t>(hi));
+  }
+  struct StoreTraits {
+    static Node Dead() { return {kDeadLevel, -1, -1}; }
+    static bool IsDead(const Node& n) { return n.level == kDeadLevel; }
+    template <typename F>
+    static void ForEachChild(const Node& n, F f) {
+      f(n.lo);
+      f(n.hi);
+    }
+    static bool HashConsed(const Node& n) { return !IsDead(n); }
+    static uint64_t Hash(const Node& n) {
+      return NodeHash(n.level, n.lo, n.hi);
+    }
   };
-
-  // Budget charging, amortized via leases: the shared budget atomic is
-  // touched once per lease_chunk_ allocations, not once per node.
-  // ChargeSeq returns false when the budget denies the allocation (the
-  // caller returns kAborted before allocating). ChargePar charges but
-  // never denies: a worker that loses the refill race still allocates
-  // its node (the trip is already recorded), bounding total overshoot by
-  // the number of in-flight workers — well under one id block.
-  // The refills stay out of line: AcquireLease (atomics, clock reads)
-  // inlined into MakeNodeT bloats the unbudgeted allocation fast path
-  // enough to measurably slow the layered compilers.
-  bool ChargeSeq() {
-    if (budget_lease_ > 0) {
-      --budget_lease_;
-      return true;
-    }
-    return RefillSeqLease();
-  }
-  bool RefillSeqLease();
-  // Deny-before-allocate gate at the lease seams: asks the governor for
-  // headroom covering one lease's worst-case allocation burst (unique-
-  // table doubling + memo growth + fresh chunks). Trips the budget with
-  // the memory-pressure marker on denial.
-  bool AdmitMemGrowth();
-  void ChargePar(AllocCursor& cursor) {
-    if (cursor.lease > 0) {
-      --cursor.lease;
-      return;
-    }
-    RefillParLease(cursor);
-  }
-  void RefillParLease(AllocCursor& cursor);
 
   std::vector<int> var_order_;
   std::unordered_map<int, int> level_of_var_;
-  NodeStore<Node> nodes_;
-  UniqueTable unique_;
+  DiagramStore<Node, StoreTraits> store_;
   ComputedCache<IteKey, NodeId> ite_cache_;
   ComputedCache<NaryKey, NodeId> nary_cache_;
   ScopedMemo<IteKey, NodeId> ite_memo_;
   ScopedMemo<NaryKey, NodeId> nary_memo_;
   int op_depth_ = 0;
-  // Parallel-region state: the attached pool, the region flag, and one
-  // id-block cursor per pool slot.
   exec::TaskPool* pool_ = nullptr;
-  bool par_active_ = false;
-  std::vector<AllocCursor> alloc_cursors_;
-  // Attached budget (may be null) and the sequential-path lease state.
-  WorkBudget* budget_ = nullptr;
-  uint32_t budget_lease_ = 0;
-  uint32_t lease_chunk_ = 0;
-  // Governor accounting (may be null). The governor pointer is resolved
-  // once at attach so the refill seams pay loads, not a parent walk.
-  // The slack term in the admission burst covers fixed-size mandatory
-  // allocations a lease can trigger: node-store chunks, lazy memo-shard
-  // arrays across all stripes, and the computed caches' floor arrays.
-  static constexpr uint64_t kMemBurstSlack = 1u << 20;
-  MemAccount* mem_account_ = nullptr;
-  MemGovernor* mem_governor_ = nullptr;
-  // GC state: external root ref-counts (indexed by node id, lazily grown)
-  // and the free list MakeNode pops before growing nodes_. A freed slot's
-  // level is set to kDeadLevel so stale-id use trips level checks fast.
-  static constexpr int kDeadLevel = -2;
-  std::vector<int32_t> external_refs_;
-  std::vector<NodeId> free_ids_;
-  // Guards free_ids_ inside parallel regions only (AllocNodePar refills
-  // cursor batches from it); single-owner access outside regions stays
-  // lock-free, ordered by the region bracket.
-  SpinLock free_ids_lock_;
-  GcStats gc_stats_;
   ThreadChecker thread_check_;
 };
 

@@ -98,6 +98,15 @@ std::vector<ThreadState*>& Registry() {
 size_t g_buffer_words = size_t{1} << 18;  // guarded by RegistryMu()
 int g_interval_us = 997;                  // guarded by RegistryMu()
 
+// Reads one word of an interrupted frame. The walk below deliberately
+// reads other functions' stack frames, which AddressSanitizer would
+// report as redzone overflows; the bounds checks there keep every read
+// inside the mapped stack window.
+__attribute__((no_sanitize("address"))) uintptr_t FrameWord(
+    const uintptr_t* frame, int i) {
+  return frame[i];
+}
+
 void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uctx) {
   if (!internal::g_profiler_armed.load(std::memory_order_relaxed)) return;
   ThreadState* st = tls_state;
@@ -136,8 +145,8 @@ void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uctx) {
       break;
     }
     const uintptr_t* frame = reinterpret_cast<const uintptr_t*>(fp);
-    uintptr_t next = frame[0];
-    uintptr_t ret = frame[1];
+    uintptr_t next = FrameWord(frame, 0);
+    uintptr_t ret = FrameWord(frame, 1);
     if (ret < 4096) break;
     pcs[depth++] = ret;
     if (next <= fp) break;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/hashing.h"
 #include "util/logging.h"
@@ -20,11 +19,6 @@ constexpr uint64_t kIndexBitSet[6] = {
     0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
     0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
 };
-
-// Dead-slot sentinel: a freed node reads as a constant with var == -2
-// until MakeDecision/Literal recycles its id (real constants never enter
-// the sweep — ids 0/1 are skipped — and live literals have var >= 0).
-constexpr int kDeadVar = -2;
 
 }  // namespace
 
@@ -57,8 +51,8 @@ SddManager::SddManager(Vtree vtree, Options options)
   }
   EnsureCtxSlots(1);
   // Terminal constants (negations of each other).
-  nodes_.PushBack({Kind::kConst, false, -1, -1, nullptr, 0});
-  nodes_.PushBack({Kind::kConst, true, -1, -1, nullptr, 0});
+  store_.Alloc({Kind::kConst, false, -1, -1, nullptr, 0});
+  store_.Alloc({Kind::kConst, true, -1, -1, nullptr, 0});
   // Constant FastInfo entries are mostly unused (constants short-circuit
   // before any probe), but the negation links keep KnownNegation total.
   fast_info_.Reserve(2);
@@ -70,8 +64,8 @@ SddManager::SddManager(Vtree vtree, Options options)
 }
 
 void SddManager::LinkNegations(NodeId a, NodeId b) {
-  NegationOf(fast_info_[a]).store(b, std::memory_order_relaxed);
-  NegationOf(fast_info_[b]).store(a, std::memory_order_relaxed);
+  NegationOf(fast_info_[a]).store(b, std::memory_order_release);
+  NegationOf(fast_info_[b]).store(a, std::memory_order_release);
 }
 
 uint64_t SddManager::Hash2SemKey(int anchor, uint64_t word) {
@@ -89,7 +83,7 @@ uint64_t SddManager::DecisionHash(int vnode, ElementSpan elements) {
 
 template <bool kPar>
 void SddManager::RegisterSemanticT(NodeId id) {
-  const Node& n = nodes_[id];
+  const Node& n = store_[id];
   const int anchor = anchor_of_vnode_[n.vnode];
   FastInfo& info = fast_info_[id];
   NegationOf(info).store(-1, std::memory_order_relaxed);
@@ -133,8 +127,8 @@ SddManager::NodeId SddManager::LookupSemantic(int vnode, uint64_t word) {
   NodeId hit;
   const uint64_t hash = Hash2SemKey(anchor, word);
   const SemKey key{anchor, word};
-  const bool found = par_active_ ? sem_cache_.LookupC(hash, key, &hit)
-                                 : sem_cache_.Lookup(hash, key, &hit);
+  const bool found = InParallelRegion() ? sem_cache_.LookupC(hash, key, &hit)
+                                        : sem_cache_.Lookup(hash, key, &hit);
   return found ? hit : -1;
 }
 
@@ -153,7 +147,6 @@ void SddManager::AddCounters(const PerfCounters& delta) {
 void SddManager::BeginParallelRegion() {
   CTSDD_CHECK(pool_ != nullptr && pool_->parallel())
       << "BeginParallelRegion without a parallel executor attached";
-  CTSDD_CHECK(!par_active_) << "parallel regions do not nest";
   CTSDD_CHECK_EQ(apply_depth_, 0) << "parallel region inside an operation";
   thread_check_.Check();  // verify ownership before suspending it
   // Pre-intern every literal: parallel tasks then always hit the
@@ -163,33 +156,20 @@ void SddManager::BeginParallelRegion() {
     Literal(v, true);
     Literal(v, false);
   }
+  const size_t worker_slots = static_cast<size_t>(pool_->max_slots());
+  EnsureCtxSlots(1 + worker_slots);
+  store_.BeginRegion(worker_slots);
   thread_check_.BeginShared();
-  EnsureCtxSlots(1 + static_cast<size_t>(pool_->max_slots()));
   // Pre-size the striped caches: they cannot grow while the region runs,
   // and a semantic-cache miss cascades into recompilation.
   apply_cache_.BeginConcurrent(1 << 16);
   sem_cache_.BeginConcurrent(1 << 14);
   apply_memo_.BeginConcurrent();
-  par_active_ = true;
 }
 
 void SddManager::EndParallelRegion() {
-  CTSDD_CHECK(par_active_);
-  par_active_ = false;
+  store_.EndRegion();
   for (Ctx& cx : ctxs_) {
-    // Unused tails of per-worker id blocks become ordinary free-list
-    // entries, reusable by the next sequential allocation and invisible
-    // to GC marking.
-    for (size_t id = cx.alloc_next; id < cx.alloc_end; ++id) {
-      nodes_[id] = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
-      fast_info_[id] = {-1, -1, 0};
-      free_ids_.push_back(static_cast<NodeId>(id));
-    }
-    cx.alloc_next = cx.alloc_end = 0;
-    // Unused recycled ids go back too (they are already dead-marked).
-    free_ids_.insert(free_ids_.end(), cx.recycled.begin(),
-                     cx.recycled.end());
-    cx.recycled.clear();
     cx.nary_memo.clear();
     AddCounters(cx.counters);
     cx.counters = PerfCounters{};
@@ -204,54 +184,14 @@ void SddManager::EndParallelRegion() {
 void SddManager::AttachBudget(WorkBudget* budget) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(apply_depth_, 0) << "AttachBudget inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachBudget inside a parallel region";
-  budget_ = budget;
-  lease_chunk_ = 0;
-  for (Ctx& cx : ctxs_) cx.budget_lease = 0;
-  if (budget != nullptr) {
-    // Lease granularity: fine enough that overshoot stays within the
-    // acceptance bound (<= budget/16), coarse enough that the shared
-    // atomic is off the per-node path.
-    const uint64_t b = budget->node_budget();
-    lease_chunk_ = static_cast<uint32_t>(
-        b == 0 ? 256
-               : std::min<uint64_t>(256, std::max<uint64_t>(1, b / 16)));
-  }
-}
-
-bool SddManager::RefillLease(Ctx& cx) {
-  if (!AdmitMemGrowth()) return false;
-  cx.budget_lease =
-      static_cast<uint32_t>(budget_->AcquireLease(lease_chunk_));
-  return cx.budget_lease > 0;
-}
-
-bool SddManager::AdmitMemGrowth() {
-  if (mem_governor_ == nullptr || !mem_governor_->enabled()) return true;
-  // Worst-case accounted growth before the next refill check: the unique
-  // table may double, the apply memo may double or lazily allocate
-  // shards, and the stores/arenas may open fresh chunks. Memo bytes come
-  // from the account's atomic per-layer counter (workers hit this seam
-  // while other stripes grow); the slack covers the chunk-granular rest.
-  const uint64_t burst =
-      2 * unique_.MemoryBytes() +
-      static_cast<uint64_t>(mem_account_->bytes(MemLayer::kMemo)) +
-      kMemBurstSlack;
-  if (mem_governor_->AdmitProjected(burst)) return true;
-  budget_->MarkMemoryPressure();
-  budget_->Cancel(StatusCode::kResourceExhausted);
-  return false;
+  store_.AttachBudget(budget);
 }
 
 void SddManager::AttachMemAccount(MemAccount* account) {
   thread_check_.Check();
   CTSDD_CHECK_EQ(apply_depth_, 0) << "AttachMemAccount inside an operation";
-  CTSDD_CHECK(!par_active_) << "AttachMemAccount inside a parallel region";
-  mem_account_ = account;
-  mem_governor_ = account != nullptr ? account->governor() : nullptr;
-  nodes_.SetMemAccount(account);
+  store_.AttachMemAccount(account);
   fast_info_.SetMemAccount(account);
-  unique_.SetMemAccount(account);
   apply_cache_.SetMemAccount(account);
   sem_cache_.SetMemAccount(account);
   apply_memo_.SetMemAccount(account);
@@ -259,28 +199,13 @@ void SddManager::AttachMemAccount(MemAccount* account) {
 }
 
 Status SddManager::Validate() const {
-  const size_t n = nodes_.size();
-  std::vector<bool> dead(n, false);
-  for (const NodeId id : free_ids_) {
-    if (id < 2 || static_cast<size_t>(id) >= n) {
-      return Status::Internal("free-list id out of range");
-    }
-    const Node& slot = nodes_[id];
-    if (slot.kind != Kind::kConst || slot.var != kDeadVar) {
-      return Status::Internal("free-list id not dead-marked");
-    }
-    dead[id] = true;
-  }
+  CTSDD_RETURN_IF_ERROR(store_.Validate());
+  const size_t n = store_.size();
   for (size_t id = 2; id < n; ++id) {
-    const Node& node = nodes_[id];
+    const Node& node = store_[id];
+    if (StoreTraits::IsDead(node)) continue;
     if (node.kind == Kind::kConst) {
-      if (node.var != kDeadVar) {
-        return Status::Internal("non-terminal constant node");
-      }
-      if (!dead[id]) {
-        return Status::Internal("dead node missing from the free list");
-      }
-      continue;
+      return Status::Internal("non-terminal constant node");
     }
     if (node.kind == Kind::kLiteral) {
       if (node.var < 0 || !vtree_.is_leaf(node.vnode) ||
@@ -306,7 +231,7 @@ Status SddManager::Validate() const {
         if (child < 0 || static_cast<size_t>(child) >= n) {
           return Status::Internal("element id out of range");
         }
-        const Node& c = nodes_[child];
+        const Node& c = store_[child];
         if (child > 1 && c.kind == Kind::kConst) {
           return Status::Internal("element references a dead node");
         }
@@ -315,10 +240,9 @@ Status SddManager::Validate() const {
         return Status::Internal("constant prime in multi-element decision");
       }
     }
-    const int32_t found = unique_.Find(
-        DecisionHash(node.vnode, {node.elems, node.num_elems}),
-        [&](int32_t cand) {
-          const Node& c = nodes_[cand];
+    const int32_t found =
+        store_.unique().Find(StoreTraits::Hash(node), [&](int32_t cand) {
+          const Node& c = store_[cand];
           return c.vnode == node.vnode && c.num_elems == node.num_elems &&
                  std::equal(node.elems, node.elems + node.num_elems,
                             c.elems);
@@ -335,131 +259,50 @@ Status SddManager::Validate() const {
 
 void SddManager::AddRootRef(NodeId id) {
   thread_check_.Check();
-  if (IsConst(id)) return;
-  CTSDD_CHECK_NE(nodes_[id].var, kDeadVar) << "AddRootRef on a freed node";
-  if (external_refs_.size() < nodes_.size()) {
-    external_refs_.resize(nodes_.size(), 0);
-  }
-  ++external_refs_[id];
+  store_.AddRootRef(id);
 }
 
 void SddManager::ReleaseRootRef(NodeId id) {
   thread_check_.Check();
-  if (IsConst(id)) return;
-  CTSDD_CHECK(id >= 0 && static_cast<size_t>(id) < external_refs_.size() &&
-              external_refs_[id] > 0)
-      << "ReleaseRootRef without a matching AddRootRef";
-  --external_refs_[id];
+  store_.ReleaseRootRef(id);
 }
 
 size_t SddManager::GarbageCollect() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(apply_depth_, 0) << "GC inside an operation";
-  CTSDD_CHECK(!par_active_) << "GC inside a parallel region";
-  obs::TraceSpan gc_span("gc", "sdd.gc");
-  ++gc_stats_.runs;
-  // Mark from the permanent roots (constants, literals) and every node
-  // holding an external reference.
-  std::vector<uint8_t> marked(nodes_.size(), 0);
-  marked[kFalse] = marked[kTrue] = 1;
-  std::vector<NodeId> roots;
+  std::vector<NodeId> literals;
   for (const NodeId lit : literal_ids_) {
-    if (lit >= 0) roots.push_back(lit);
+    if (lit >= 0) literals.push_back(lit);
   }
-  for (size_t id = 0; id < external_refs_.size(); ++id) {
-    if (external_refs_[id] > 0) roots.push_back(static_cast<NodeId>(id));
-  }
-  if (pool_ != nullptr && pool_->parallel() && roots.size() > 1) {
-    // Mark as exec tasks, one DFS per root: nodes are claimed with a
-    // relaxed atomic exchange so shared subgraphs traverse once, and a
-    // cold compile on another shard overlaps this GC pause on the
-    // shared pool instead of serializing behind it.
-    exec::ParallelFor(pool_, roots.size(), [&](size_t i) {
-      std::vector<NodeId> stack{roots[i]};
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        if (std::atomic_ref<uint8_t>(marked[u]).exchange(
-                1, std::memory_order_relaxed)) {
-          continue;
+  return store_.Collect(
+      "sdd.gc", pool_, literals,
+      [&](NodeId id, const Node& n) {
+        if (n.kind == Kind::kDecision && n.num_elems > 0) {
+          free_elements_[n.num_elems].push_back(const_cast<Element*>(n.elems));
         }
-        const Node& n = nodes_[u];
-        for (uint32_t j = 0; j < n.num_elems; ++j) {
-          stack.push_back(n.elems[j].first);
-          stack.push_back(n.elems[j].second);
+        fast_info_[id] = {-1, -1, 0};
+      },
+      [&] {
+        // Sever negation links into collected nodes: the link slots are
+        // id-valued, and a freed id may be recycled by an unrelated
+        // function.
+        for (size_t id = 0; id < store_.size(); ++id) {
+          if (StoreTraits::IsDead(store_[id])) continue;
+          NodeId& neg = fast_info_[id].negation;
+          if (neg >= 0 && StoreTraits::IsDead(store_[neg])) neg = -1;
         }
-      }
-    });
-  } else {
-    std::vector<NodeId> stack = std::move(roots);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      if (marked[u]) continue;
-      marked[u] = 1;
-      const Node& n = nodes_[u];
-      for (uint32_t i = 0; i < n.num_elems; ++i) {
-        stack.push_back(n.elems[i].first);
-        stack.push_back(n.elems[i].second);
-      }
-    }
-  }
-  // Rebuild the unique table over the surviving decisions (open
-  // addressing cannot delete in place), sweeping dead nodes onto the id
-  // free list and recycling their element spans by exact size.
-  size_t live_decisions = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    if (marked[id] && nodes_[id].kind == Kind::kDecision) ++live_decisions;
-  }
-  unique_.Clear(live_decisions);
-  size_t reclaimed = 0;
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    Node& n = nodes_[id];
-    if (n.var == kDeadVar && n.kind == Kind::kConst) continue;  // still free
-    if (!marked[id]) {
-      if (n.kind == Kind::kDecision && n.num_elems > 0) {
-        free_elements_[n.num_elems].push_back(const_cast<Element*>(n.elems));
-      }
-      n = {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
-      fast_info_[id] = {-1, -1, 0};
-      free_ids_.push_back(static_cast<NodeId>(id));
-      ++reclaimed;
-      continue;
-    }
-    if (n.kind == Kind::kDecision) {
-      unique_.Insert(DecisionHash(n.vnode, {n.elems, n.num_elems}),
-                     static_cast<int32_t>(id));
-    }
-  }
-  // Sever negation links into collected nodes: the link slots are id-
-  // valued, and a freed id may be recycled by an unrelated function.
-  for (size_t id = 0; id < nodes_.size(); ++id) {
-    if (!marked[id]) continue;
-    NodeId& neg = fast_info_[id].negation;
-    if (neg >= 0 && !marked[neg]) neg = -1;
-  }
-  // Caches hold freed ids; invalidate them, then re-register the
-  // survivors' semantic words so FastApply does not cold-start.
-  apply_cache_.Clear();
-  sem_cache_.Clear();
-  RebuildSemanticCache();
-  gc_stats_.reclaimed += reclaimed;
-#ifndef NDEBUG
-  // GC is a quiescent point: the rolled-up account must agree with the
-  // recomputed per-structure bytes exactly, or accounting has drifted.
-  if (mem_account_ != nullptr) {
-    CTSDD_CHECK_EQ(mem_account_->bytes(),
-                   static_cast<uint64_t>(MemoryBytes()))
-        << "SDD memory accounting drift after GC";
-  }
-#endif
-  gc_span.AddArg("reclaimed", reclaimed);
-  return reclaimed;
+        // Caches hold freed ids; invalidate them, then re-register the
+        // survivors' semantic words so FastApply does not cold-start.
+        apply_cache_.Clear();
+        sem_cache_.Clear();
+        RebuildSemanticCache();
+      },
+      [&] { return MemoryBytes(); });
 }
 
 void SddManager::RebuildSemanticCache() {
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
+  for (size_t id = 2; id < store_.size(); ++id) {
+    const Node& n = store_[id];
     // Non-terminal kConst slots are dead sentinels (real constants are
     // ids 0 and 1, skipped above).
     if (n.kind == Kind::kConst) continue;
@@ -474,7 +317,7 @@ void SddManager::RebuildSemanticCache() {
 void SddManager::ShrinkCaches() {
   thread_check_.Check();
   CTSDD_CHECK_EQ(apply_depth_, 0) << "ShrinkCaches inside an operation";
-  CTSDD_CHECK(!par_active_) << "ShrinkCaches inside a parallel region";
+  CTSDD_CHECK(!InParallelRegion()) << "ShrinkCaches inside a parallel region";
   apply_cache_.Shrink();
   apply_memo_.Shrink();
   for (Ctx& cx : ctxs_) cx.scratch.clear();
@@ -491,12 +334,13 @@ SddManager::NodeId SddManager::Literal(int var, bool positive) {
   CTSDD_CHECK(var >= 0 && key < literal_ids_.size())
       << "variable x" << var << " not in vtree";
   if (literal_ids_[key] >= 0) return literal_ids_[key];
-  CTSDD_CHECK(!par_active_)
+  CTSDD_CHECK(!InParallelRegion())
       << "literal interning inside a parallel region (BeginParallelRegion "
          "pre-interns the full literal set)";
   const int leaf = vtree_.LeafOf(var);
   CTSDD_CHECK_GE(leaf, 0) << "variable x" << var << " not in vtree";
-  const NodeId id = NewNode({Kind::kLiteral, positive, var, leaf, nullptr, 0});
+  const NodeId id = NewNode<false>(
+      ctxs_[0], {Kind::kLiteral, positive, var, leaf, nullptr, 0});
   RegisterSemanticT<false>(id);
   literal_ids_[key] = id;
   // Complement literals are always linked: the second one created links
@@ -510,7 +354,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
                                              Elements* elements_in,
                                              int depth) {
   Elements& elements = *elements_in;
-  if (budget_ != nullptr && budget_->tripped()) return kAborted;
+  if (budget() != nullptr && budget()->tripped()) return kAborted;
   // Drop false primes.
   elements.erase(std::remove_if(elements.begin(), elements.end(),
                                 [](const auto& e) { return e.first == kFalse; }),
@@ -560,7 +404,7 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
   // (either passed in or produced by the compression applies above).
   // Checked before the trim-rule CHECKs and the unique-table probe so an
   // aborted partial decision never materializes.
-  if (budget_ != nullptr) {
+  if (budget() != nullptr) {
     for (const auto& [p, s] : elements) {
       if ((p | s) < 0) return kAborted;
     }
@@ -584,80 +428,42 @@ SddManager::NodeId SddManager::MakeDecisionT(Ctx& cx, int vnode,
   std::sort(elements.begin(), elements.end());
   const uint64_t hash = DecisionHash(vnode, {elements.data(), elements.size()});
   const auto eq = [&](int32_t id) {
-    const Node& n = nodes_[id];
+    const Node& n = store_[id];
     return n.vnode == vnode && n.num_elems == elements.size() &&
            std::equal(elements.begin(), elements.end(), n.elems);
   };
   if constexpr (kPar) {
-    return unique_.FindOrInsert(hash, eq, [&] {
-      if (budget_ != nullptr) ChargePar(cx);
+    return store_.unique().FindOrInsert(hash, eq, [&] {
+      if (budget() != nullptr) store_.Charge(cx.slot);
       CTSDD_FAULT_POINT("sdd.alloc");
       Element* stored = AllocateElements<true>(cx, elements.size());
       std::copy(elements.begin(), elements.end(), stored);
       const NodeId id =
-          AllocNodePar(cx, {Kind::kDecision, false, -1, vnode, stored,
-                            static_cast<uint32_t>(elements.size())});
+          NewNode<true>(cx, {Kind::kDecision, false, -1, vnode, stored,
+                             static_cast<uint32_t>(elements.size())});
       RegisterSemanticT<true>(id);
       return id;
     });
   } else {
-    const int32_t found = unique_.Find(hash, eq);
+    const int32_t found = store_.unique().Find(hash, eq);
     if (found != UniqueTable::kEmpty) return found;
-    if (budget_ != nullptr && !ChargeSeq(cx)) return kAborted;
+    if (budget() != nullptr && !store_.Charge(cx.slot)) return kAborted;
     CTSDD_FAULT_POINT("sdd.alloc");
     Element* stored = AllocateElements<false>(cx, elements.size());
     std::copy(elements.begin(), elements.end(), stored);
-    const NodeId id = NewNode({Kind::kDecision, false, -1, vnode, stored,
-                               static_cast<uint32_t>(elements.size())});
+    const NodeId id =
+        NewNode<false>(cx, {Kind::kDecision, false, -1, vnode, stored,
+                            static_cast<uint32_t>(elements.size())});
     RegisterSemanticT<false>(id);
-    unique_.Insert(hash, id);
+    store_.unique().Insert(hash, id);
     return id;
   }
 }
 
-SddManager::NodeId SddManager::NewNode(const Node& n) {
-  if (!free_ids_.empty()) {
-    const NodeId id = free_ids_.back();
-    free_ids_.pop_back();
-    nodes_[id] = n;
-    return id;
-  }
-  const size_t id = nodes_.PushBack(n);
-  fast_info_.Reserve(id + 1);
-  return static_cast<NodeId>(id);
-}
-
-SddManager::NodeId SddManager::AllocNodePar(Ctx& cx, const Node& n) {
-  if (!cx.recycled.empty()) {
-    const NodeId id = cx.recycled.back();
-    cx.recycled.pop_back();
-    nodes_[id] = n;
-    return id;
-  }
-  if (cx.alloc_next == cx.alloc_end) {
-    // Refill from the GC free list before claiming fresh ids: without
-    // reuse, every parallel cold compile would grow the store past what
-    // collection can ever reclaim.
-    {
-      SpinLockGuard guard(free_ids_lock_);
-      const size_t take = std::min(kAllocBlock, free_ids_.size());
-      if (take > 0) {
-        cx.recycled.assign(free_ids_.end() - take, free_ids_.end());
-        free_ids_.resize(free_ids_.size() - take);
-      }
-    }
-    if (!cx.recycled.empty()) {
-      const NodeId id = cx.recycled.back();
-      cx.recycled.pop_back();
-      nodes_[id] = n;
-      return id;
-    }
-    cx.alloc_next = nodes_.ClaimBlock(kAllocBlock);
-    cx.alloc_end = cx.alloc_next + kAllocBlock;
-    fast_info_.Reserve(cx.alloc_end);
-  }
-  const NodeId id = static_cast<NodeId>(cx.alloc_next++);
-  nodes_[id] = n;
+template <bool kPar>
+SddManager::NodeId SddManager::NewNode(Ctx& cx, const Node& n) {
+  const NodeId id = kPar ? store_.AllocIn(cx.slot, n) : store_.Alloc(n);
+  fast_info_.Reserve(static_cast<size_t>(id) + 1);
   return id;
 }
 
@@ -683,7 +489,7 @@ SddManager::NodeId SddManager::Decision(int vnode, Elements elements) {
   thread_check_.Check();
   CTSDD_CHECK(!vtree_.is_leaf(vnode))
       << "decisions are normalized at internal vtree nodes";
-  if (par_active_) {
+  if (InParallelRegion()) {
     return MakeDecisionT<true>(CurCtx(), vnode, &elements, 0);
   }
   ++apply_depth_;
@@ -696,7 +502,7 @@ template <bool kPar>
 SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
                                            std::array<Element, 2>* store,
                                            int depth) {
-  const Node& n = nodes_[a];
+  const Node& n = store_[a];
   if (n.kind == Kind::kDecision && n.vnode == vnode) {
     return {n.elems, n.num_elems};
   }
@@ -704,11 +510,11 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
   CTSDD_CHECK_GE(where, 0);
   if (vtree_.IsAncestorOrSelf(vtree_.left(vnode), where)) {
     // `a` lives in the left subtree: (a AND true) OR (!a AND false).
-    // NotRec may grow nodes_, so `n` is dead after this point.
+    // NotRec may grow the store, so `n` is dead after this point.
     const NodeId not_a = NotRecT<kPar>(cx, a, depth);
     // Valid lifts are never empty, so an empty span is the abort
     // sentinel (callers check before reading elements).
-    if (budget_ != nullptr && not_a < 0) return {};
+    if (budget() != nullptr && not_a < 0) return {};
     (*store)[0] = {a, kTrue};
     (*store)[1] = {not_a, kFalse};
     return {store->data(), 2};
@@ -721,7 +527,7 @@ SddManager::ElementSpan SddManager::LiftTo(Ctx& cx, int vnode, NodeId a,
 
 SddManager::NodeId SddManager::Apply(NodeId a, NodeId b, Op op) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     // Nested call from inside an open region (compiler task or a caller
     // spanning several operations): the region owner resets the memos.
     return ApplyRecT<true>(CurCtx(), a, b, op, 0);
@@ -743,7 +549,7 @@ SddManager::NodeId SddManager::Apply(NodeId a, NodeId b, Op op) {
 template <bool kPar>
 SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
                                          int depth) {
-  if (budget_ != nullptr && ((a | b) < 0 || budget_->tripped())) {
+  if (budget() != nullptr && ((a | b) < 0 || budget()->tripped())) {
     return kAborted;
   }
   ++cx.counters.apply_calls;
@@ -767,7 +573,7 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
 
   // Distinct literals of one variable are complements, caught above; the
   // LCA of the remaining cases is internal.
-  const int lca = vtree_.Lca(nodes_[a].vnode, nodes_[b].vnode);
+  const int lca = vtree_.Lca(store_[a].vnode, store_[b].vnode);
   CTSDD_CHECK(!vtree_.is_leaf(lca));
   // The spans stay valid across the recursive Apply calls below: arena
   // chunks never move and the lift stores live on this frame.
@@ -775,7 +581,7 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
   const ElementSpan ea = LiftTo<kPar>(cx, lca, a, &store_a, depth);
   const ElementSpan eb = LiftTo<kPar>(cx, lca, b, &store_b, depth);
   // An empty span is LiftTo's abort sentinel (valid lifts never are).
-  if (budget_ != nullptr && (ea.empty() || eb.empty())) return kAborted;
+  if (budget() != nullptr && (ea.empty() || eb.empty())) return kAborted;
   // Depth-indexed scratch: deeper recursive frames (including the ones
   // MakeDecision's compression spawns) use deeper buffers, so this
   // frame's elements survive the recursion without a fresh allocation.
@@ -851,7 +657,7 @@ SddManager::NodeId SddManager::ApplyRecT(Ctx& cx, NodeId a, NodeId b, Op op,
   cx.counters.element_products += out.size();
   const NodeId result = MakeDecisionT<kPar>(cx, lca, &out, depth);
   --cx.rec_depth;
-  if (budget_ != nullptr && result < 0) return result;  // never cached
+  if (budget() != nullptr && result < 0) return result;  // never cached
   if constexpr (kPar) {
     apply_cache_.StoreC(hash, key, result);
     apply_memo_.InsertC(hash, key, result);
@@ -875,7 +681,7 @@ bool SddManager::NormalizeNaryOps(Ctx& cx, std::vector<NodeId>* ops_in,
   std::vector<NodeId>& ops = *ops_in;
   // Abort propagation, checked before the fast_info_ negation probes
   // below dereference any operand.
-  if (budget_ != nullptr) {
+  if (budget() != nullptr) {
     for (const NodeId x : ops) {
       if (x < 0) {
         *out = kAborted;
@@ -940,8 +746,8 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
                                        const std::vector<NodeId>& ops, Op op,
                                        int depth) {
   if (ops.size() == 2) return ApplyRecT<kPar>(cx, ops[0], ops[1], op, depth);
-  if (budget_ != nullptr) {
-    if (budget_->tripped()) return kAborted;
+  if (budget() != nullptr) {
+    if (budget()->tripped()) return kAborted;
     for (const NodeId x : ops) {
       if (x < 0) return kAborted;
     }
@@ -951,20 +757,20 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
   const auto it = cx.nary_memo.find(key);
   if (it != cx.nary_memo.end()) return it->second;
 
-  int lca = nodes_[ops[0]].vnode;
+  int lca = store_[ops[0]].vnode;
   for (size_t i = 1; i < ops.size(); ++i) {
-    lca = vtree_.Lca(lca, nodes_[ops[i]].vnode);
+    lca = vtree_.Lca(lca, store_[ops[i]].vnode);
   }
   CTSDD_CHECK(!vtree_.is_leaf(lca));
   // Lift every operand to `lca`. Lift stores are preallocated so the
-  // spans stay valid; LiftTo may grow nodes_, never move arena chunks.
+  // spans stay valid; LiftTo may grow the store, never move arena chunks.
   std::vector<std::array<Element, 2>> stores(ops.size());
   std::vector<ElementSpan> spans(ops.size());
   size_t product = 1;
   for (size_t i = 0; i < ops.size(); ++i) {
     spans[i] = LiftTo<kPar>(cx, lca, ops[i], &stores[i], depth);
     // An empty span is LiftTo's abort sentinel.
-    if (budget_ != nullptr && spans[i].empty()) return kAborted;
+    if (budget() != nullptr && spans[i].empty()) return kAborted;
     // Saturate at the cap: the running multiply must not wrap (eight
     // 256-element operands already reach 2^64).
     product = (product > kNaryProductCap)
@@ -995,7 +801,7 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
       }
       result = fold[0];
     }
-    if (budget_ != nullptr && result < 0) return result;  // never memoized
+    if (budget() != nullptr && result < 0) return result;  // never memoized
     cx.nary_memo.emplace(std::move(key), result);
     return result;
   }
@@ -1051,21 +857,21 @@ SddManager::NodeId SddManager::ApplyNT(Ctx& cx,
       }
       // Aborted cell prime: skip the subtree — the tripped check after
       // the product returns kAborted before anything uses `out`.
-      if (budget_ != nullptr && cell < 0) return;
+      if (budget() != nullptr && cell < 0) return;
       if (cell == kFalse) continue;
       subs[level] = s;
       self(self, level + 1, cell);
     }
   };
   dfs(dfs, 0, kTrue);
-  if (budget_ != nullptr && budget_->tripped()) {
+  if (budget() != nullptr && budget()->tripped()) {
     --cx.rec_depth;
     return kAborted;
   }
   cx.counters.element_products += out.size();
   result = MakeDecisionT<kPar>(cx, lca, &out, depth);
   --cx.rec_depth;
-  if (budget_ != nullptr && result < 0) return result;  // never memoized
+  if (budget() != nullptr && result < 0) return result;  // never memoized
   cx.nary_memo.emplace(std::move(key), result);
   return result;
 }
@@ -1124,7 +930,7 @@ SddManager::NodeId SddManager::OrNT(Ctx& cx, std::vector<NodeId> ops) {
 
 SddManager::NodeId SddManager::AndN(std::vector<NodeId> ops) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     return AndNT<true>(CurCtx(), std::move(ops));
   }
   if (pool_ != nullptr && pool_->parallel()) {
@@ -1141,7 +947,7 @@ SddManager::NodeId SddManager::AndN(std::vector<NodeId> ops) {
 
 SddManager::NodeId SddManager::OrN(std::vector<NodeId> ops) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     return OrNT<true>(CurCtx(), std::move(ops));
   }
   if (pool_ != nullptr && pool_->parallel()) {
@@ -1158,7 +964,7 @@ SddManager::NodeId SddManager::OrN(std::vector<NodeId> ops) {
 
 SddManager::NodeId SddManager::Not(NodeId a) {
   thread_check_.Check();
-  if (par_active_) {
+  if (InParallelRegion()) {
     return NotRecT<true>(CurCtx(), a, 0);
   }
   ++apply_depth_;
@@ -1169,19 +975,21 @@ SddManager::NodeId SddManager::Not(NodeId a) {
 
 template <bool kPar>
 SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
-  if (budget_ != nullptr && (a < 0 || budget_->tripped())) return kAborted;
+  if (budget() != nullptr && (a < 0 || budget()->tripped())) return kAborted;
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
   // The exact negation links are a complete, unbounded memo: every
   // negation ever computed (and every complement literal pair) is linked,
   // so a hit here is O(1) and a whole-diagram negation visits each
   // unlinked node once.
+  // Acquire pairs with LinkNegations' release: the caller goes on to read
+  // the linked node, which another worker may have just created.
   const NodeId linked =
-      NegationOf(fast_info_[a]).load(std::memory_order_relaxed);
+      NegationOf(fast_info_[a]).load(std::memory_order_acquire);
   if (linked >= 0) return linked;
-  // Copy the node header: recursive calls below may grow nodes_. The
+  // Copy the node header: recursive calls below may grow the store. The
   // element pointer stays valid (arena chunks never move).
-  const Node n = nodes_[a];
+  const Node n = store_[a];
   NodeId result;
   if (n.kind == Kind::kLiteral) {
     result = Literal(n.var, !n.sense);
@@ -1190,22 +998,22 @@ SddManager::NodeId SddManager::NotRecT(Ctx& cx, NodeId a, int depth) {
     for (auto& [p, s] : out) s = NotRecT<kPar>(cx, s, depth);
     result = MakeDecisionT<kPar>(cx, n.vnode, &out, depth);
   }
-  if (budget_ != nullptr && result < 0) return result;  // never linked
+  if (budget() != nullptr && result < 0) return result;  // never linked
   LinkNegations(a, result);
   return result;
 }
 
 SddManager::NodeId SddManager::Restrict(NodeId a, int var, bool value) {
   thread_check_.Check();
-  CTSDD_CHECK(!par_active_) << "Restrict inside a parallel region";
+  CTSDD_CHECK(!InParallelRegion()) << "Restrict inside a parallel region";
   const int leaf = vtree_.LeafOf(var);
   CTSDD_CHECK_GE(leaf, 0);
   ++apply_depth_;
   std::unordered_map<NodeId, NodeId> memo;
   std::function<NodeId(NodeId)> rec = [&](NodeId u) -> NodeId {
     if (IsConst(u)) return u;
-    // Copy the node header: recursive calls may grow nodes_.
-    const Node n = nodes_[u];
+    // Copy the node header: recursive calls may grow the store.
+    const Node n = store_[u];
     // If var is outside u's scope, u is unchanged.
     if (!vtree_.IsAncestorOrSelf(n.vnode, leaf)) return u;
     const auto it = memo.find(u);
@@ -1252,7 +1060,7 @@ bool SddManager::AnyModel(NodeId a, std::map<int, bool>* out) const {
   std::function<bool(NodeId)> descend = [&](NodeId u) -> bool {
     if (u == kFalse) return false;
     if (u == kTrue) return true;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     if (n.kind == Kind::kLiteral) {
       out->emplace(n.var, n.sense);
       return true;
@@ -1275,7 +1083,7 @@ bool SddManager::Evaluate(NodeId a,
   std::function<bool(NodeId)> rec = [&](NodeId u) -> bool {
     if (u == kFalse) return false;
     if (u == kTrue) return true;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     if (n.kind == Kind::kLiteral) {
       const auto it = assignment.find(n.var);
       CTSDD_CHECK(it != assignment.end())
@@ -1301,7 +1109,7 @@ uint64_t SddManager::CountModelsAt(
                        static_cast<uint64_t>(vnode);
   const auto it = memo->find(key);
   if (it != memo->end()) return it->second;
-  const Node& n = nodes_[a];
+  const Node& n = store_[a];
   CTSDD_CHECK(vtree_.IsAncestorOrSelf(vnode, n.vnode))
       << "node out of scope for model counting";
   uint64_t result;
@@ -1335,7 +1143,7 @@ double SddManager::WmcAt(NodeId a, int vnode,
                        static_cast<uint64_t>(vnode);
   const auto it = memo->find(key);
   if (it != memo->end()) return it->second;
-  const Node& n = nodes_[a];
+  const Node& n = store_[a];
   double result;
   if (n.kind == Kind::kLiteral) {
     const double p = prob_of_var[n.var];
@@ -1373,7 +1181,7 @@ BoolFunc SddManager::ToBoolFunc(NodeId a) const {
     if (u == kTrue) return BoolFunc::Constant(true);
     const auto it = memo.find(u);
     if (it != memo.end()) return it->second;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     BoolFunc result;
     if (n.kind == Kind::kLiteral) {
       result = BoolFunc::Literal(n.var, n.sense);
@@ -1397,14 +1205,14 @@ int SddManager::Size(NodeId a) const {
 
 int SddManager::NumDecisions(NodeId a) const {
   int count = 0;
-  std::vector<bool> seen(nodes_.size(), false);
+  std::vector<bool> seen(store_.size(), false);
   std::vector<NodeId> stack = {a};
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
     if (IsConst(u) || seen[u]) continue;
     seen[u] = true;
-    if (nodes_[u].kind == Kind::kDecision) {
+    if (store_[u].kind == Kind::kDecision) {
       ++count;
       for (const auto& [p, s] : elements(u)) {
         stack.push_back(p);
@@ -1417,14 +1225,14 @@ int SddManager::NumDecisions(NodeId a) const {
 
 std::vector<int> SddManager::VtreeProfile(NodeId a) const {
   std::vector<int> profile(vtree_.num_nodes(), 0);
-  std::vector<bool> seen(nodes_.size(), false);
+  std::vector<bool> seen(store_.size(), false);
   std::vector<NodeId> stack = {a};
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
     if (IsConst(u) || seen[u]) continue;
     seen[u] = true;
-    const Node& n = nodes_[u];
+    const Node& n = store_[u];
     if (n.kind == Kind::kDecision) {
       profile[n.vnode] += static_cast<int>(n.num_elems);
       for (const auto& [p, s] : elements(u)) {
@@ -1443,7 +1251,7 @@ int SddManager::Width(NodeId a) const {
 }
 
 Status SddManager::Validate(NodeId a) {
-  std::vector<bool> seen(nodes_.size(), false);
+  std::vector<bool> seen(store_.size(), false);
   std::vector<NodeId> stack = {a};
   std::unordered_map<uint64_t, uint64_t> memo;
   while (!stack.empty()) {
@@ -1451,9 +1259,9 @@ Status SddManager::Validate(NodeId a) {
     stack.pop_back();
     if (IsConst(u) || seen[u]) continue;
     seen[u] = true;
-    // Copy the node header: the disjointness checks below may grow nodes_.
+    // Copy the node header: the disjointness checks below may grow the store.
     // The element pointer stays valid (arena chunks never move).
-    const Node n = nodes_[u];
+    const Node n = store_[u];
     if (n.kind == Kind::kLiteral) continue;
     if (vtree_.is_leaf(n.vnode)) {
       return Status::Internal("decision normalized at a vtree leaf");
@@ -1470,10 +1278,10 @@ Status SddManager::Validate(NodeId a) {
       if (p == kFalse || p == kTrue) {
         return Status::Internal("constant prime in multi-element decision");
       }
-      if (!vtree_.IsAncestorOrSelf(left, nodes_[p].vnode)) {
+      if (!vtree_.IsAncestorOrSelf(left, store_[p].vnode)) {
         return Status::Internal("prime outside left vtree subtree");
       }
-      if (!IsConst(s) && !vtree_.IsAncestorOrSelf(right, nodes_[s].vnode)) {
+      if (!IsConst(s) && !vtree_.IsAncestorOrSelf(right, store_[s].vnode)) {
         return Status::Internal("sub outside right vtree subtree");
       }
       prime_models += CountModelsAt(p, left, &memo);

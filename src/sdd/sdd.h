@@ -14,8 +14,8 @@
 // each element is one AND gate structured by v in the circuit reading of
 // the SDD.
 //
-// Storage: nodes live in a chunked stable-address store
-// (util/node_store.h); decision-node elements live in per-context pool
+// Storage: nodes live in the diagram store shared with the OBDD manager
+// (util/diagram_store.h); decision-node elements live in per-context pool
 // arenas with stable addresses (util/arena.h); a node is (vnode, pointer,
 // count), so the unique-table probe hashes the raw element words in place
 // instead of copying an owning vector per key, and Apply can walk an
@@ -57,13 +57,12 @@
 #include "util/arena.h"
 #include "util/budget.h"
 #include "util/computed_cache.h"
+#include "util/diagram_store.h"
 #include "util/mem_governor.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/thread_check.h"
-#include "util/unique_table.h"
 #include "vtree/vtree.h"
 
 namespace ctsdd {
@@ -184,50 +183,38 @@ class SddManager {
   // the disjointness checks go through the apply cache.
   Status Validate(NodeId a);
 
-  int NumNodes() const { return static_cast<int>(nodes_.size()); }
+  int NumNodes() const { return static_cast<int>(store_.size()); }
   // Nodes currently resident (slots minus the GC free list), constants
   // included. The quantity a long-running service bounds.
-  int NumLiveNodes() const {
-    return static_cast<int>(nodes_.size() - free_ids_.size());
-  }
+  int NumLiveNodes() const { return static_cast<int>(store_.NumLive()); }
 
   // --- Parallel execution ------------------------------------------------
   //
-  // Same contract as ObddManager: with a parallel pool attached, apply
-  // entry points fork inside an exec-managed region, and compilers (the
-  // vtree-semantic path) may span many operations in one explicit region.
-  // Regions exclude GC/root bookkeeping; results are pointer-identical
-  // to sequential execution.
+  // As in ObddManager; compilers (the vtree-semantic path) may also span
+  // many operations in one explicit region.
 
   void AttachExecutor(exec::TaskPool* pool) { pool_ = pool; }
   exec::TaskPool* executor() const { return pool_; }
-  bool InParallelRegion() const { return par_active_; }
+  bool InParallelRegion() const { return store_.in_region(); }
 
   void BeginParallelRegion();
   void EndParallelRegion();
 
   // --- Budgets and cancellation ------------------------------------------
   //
-  // Same contract as ObddManager: while a budget is attached, decision
-  // allocations charge it (amortized through per-context leases) and
-  // every apply/compile recursion unwinds with kAborted once it trips —
-  // on node exhaustion, deadline, or external Cancel(). Aborted partial
-  // results are never cached, interned, or negation-linked, so the
-  // manager stays Validate()-clean, the garbage left behind is
-  // unreferenced (reclaimed by GarbageCollect), and a post-abort
-  // recompile is pointer-identical by canonicity. Literal interning is
-  // never charged (bounded by 2·|vars|). Attach/Detach must happen
-  // outside operations and parallel regions.
+  // Contract: see util/diagram_store.h. Aborted partial results are
+  // never cached, interned, or negation-linked; literal interning is
+  // never charged (bounded by 2·|vars|).
 
   void AttachBudget(WorkBudget* budget);
   void DetachBudget() { AttachBudget(nullptr); }
-  WorkBudget* budget() const { return budget_; }
+  WorkBudget* budget() const { return store_.budget(); }
   bool AbortRequested() const {
-    return budget_ != nullptr && budget_->tripped();
+    return budget() != nullptr && budget()->tripped();
   }
   // Cancel token for exec::ParallelFor, or nullptr without a budget.
   const std::atomic<bool>* budget_token() const {
-    return budget_ == nullptr ? nullptr : budget_->token();
+    return budget() == nullptr ? nullptr : budget()->token();
   }
 
   // Manager-wide structural self-check (contrast Validate(NodeId), which
@@ -239,16 +226,12 @@ class SddManager {
 
   // --- Memory lifecycle -------------------------------------------------
   //
-  // Same contract as ObddManager: the manager only collects nodes that
-  // are unreachable from registered external roots (constants and the
-  // literal nodes are permanent). Live node ids never change across a
-  // collection, the unique table is rebuilt over the survivors, negation
-  // links into collected nodes are severed, and the (anchor, word)
-  // semantic cache is rebuilt from the survivors — so recompiling a
-  // collected function reproduces pointer-identical ids for every
-  // surviving subgraph. Freed decision nodes donate their element spans
-  // to a size-bucketed free list that MakeDecision reuses, so the element
-  // arenas' footprint is bounded by their live + recycled high-water mark.
+  // Contract: see util/diagram_store.h. Constants and literals are
+  // permanent roots. A collection also severs negation links into
+  // collected nodes and rebuilds the semantic cache from the survivors;
+  // freed decisions donate their element spans to a size-bucketed free
+  // list that MakeDecision reuses, so the element arenas stay bounded by
+  // their live + recycled high-water mark.
 
   // Registers `id` as an external root (ref-counted). Constants and
   // literals need no protection (they are permanent).
@@ -266,33 +249,24 @@ class SddManager {
   // cache repopulates as nodes are created).
   void ShrinkCaches();
 
-  struct GcStats {
-    uint64_t runs = 0;       // GarbageCollect() invocations
-    uint64_t reclaimed = 0;  // nodes freed across all runs
-  };
-  const GcStats& gc_stats() const { return gc_stats_; }
+  using GcStats = ctsdd::GcStats;
+  const GcStats& gc_stats() const { return store_.gc_stats(); }
 
   // --- Memory accounting --------------------------------------------------
   //
-  // Same contract as ObddManager: AttachMemAccount charges every byte-
-  // owning structure (both node stores, the unique table, apply/semantic
-  // caches, the apply memo, and every context's element arena) to
-  // `account`, transferring already-resident bytes; nullptr detaches.
-  // With an enabled governor in the account chain AND an attached budget,
-  // the lease-refill seams deny-before-allocate: a refill whose worst-
-  // case burst no longer fits under the hard watermark trips the budget
-  // typed RESOURCE_EXHAUSTED with the memory-pressure marker. Attach
-  // outside operations and parallel regions.
+  // Contract: see util/diagram_store.h. The account covers both node
+  // stores, the unique table, apply/semantic caches, the apply memo, and
+  // every context's element arena.
 
   void AttachMemAccount(MemAccount* account);
-  MemAccount* mem_account() const { return mem_account_; }
+  MemAccount* mem_account() const { return store_.mem_account(); }
   // Recomputed accounted-resident bytes; equals mem_account()->bytes()
   // at quiescent points (debug-asserted at the end of GarbageCollect).
   // Sequential contexts only (walks the context arenas).
   size_t MemoryBytes() const {
-    size_t total = nodes_.MemoryBytes() + fast_info_.MemoryBytes() +
-                   unique_.MemoryBytes() + apply_cache_.MemoryBytes() +
-                   sem_cache_.MemoryBytes() + apply_memo_.MemoryBytes();
+    size_t total = store_.MemoryBytes() + fast_info_.MemoryBytes() +
+                   apply_cache_.MemoryBytes() + sem_cache_.MemoryBytes() +
+                   apply_memo_.MemoryBytes();
     for (const Ctx& cx : ctxs_) total += cx.element_arena.MemoryBytes();
     return total;
   }
@@ -324,7 +298,12 @@ class SddManager {
   // Work counters for the apply/compile hot paths, for benches and
   // regression diagnosis. Monotone over the manager's lifetime; inside a
   // parallel region increments accumulate per worker and merge when the
-  // region ends, so read them outside regions.
+  // region ends, so read them outside regions. With a parallel pool
+  // attached the work counts (apply_calls above all) can differ from run
+  // to run: two workers may both miss the caches on one subproblem and
+  // redo it before either result is stored. Results stay identical; for
+  // a reproducible count, replay the work sequentially (perfbench's
+  // exact sdd.apply_calls comes from such a replay).
   struct PerfCounters {
     uint64_t apply_calls = 0;       // ApplyRec entries (incl. recursive)
     uint64_t element_products = 0;  // (prime, sub) pairs emitted by apply
@@ -390,17 +369,17 @@ class SddManager {
     const Element* elems = nullptr;
     uint32_t num_elems = 0;
   };
-  const Node& node(NodeId id) const { return nodes_[id]; }
+  const Node& node(NodeId id) const { return store_[id]; }
   // The (prime, sub) pairs of a decision node (empty for others). The view
   // stays valid across later manager operations.
   ElementSpan elements(NodeId id) const {
-    const Node& n = nodes_[id];
+    const Node& n = store_[id];
     return {n.elems, n.num_elems};
   }
   bool IsConst(NodeId id) const { return id <= 1; }
 
   // The vtree node a node is normalized at (-1 for constants).
-  int VtreeOf(NodeId id) const { return nodes_[id].vnode; }
+  int VtreeOf(NodeId id) const { return store_[id].vnode; }
 
  private:
   enum class Op : uint8_t { kAnd, kOr };
@@ -421,12 +400,12 @@ class SddManager {
     }
   };
 
-  // Per-execution-context state: one Ctx per pool slot (plus slot 0 for
-  // the single-owner path). Everything an apply recursion mutates that is
-  // not a shared, protocol-guarded structure lives here, so workers never
-  // contend: depth-indexed element scratch, the n-ary memo and probe
-  // buffer, the element arena stripe, the node-id block cursor, and the
-  // worker's counter tally (merged into counters_ at region end).
+  // Per-execution-context state: one Ctx per store slot (slot 0 for the
+  // single-owner path, 1 + pool slot inside a region). Everything an
+  // apply recursion mutates that is not a shared, protocol-guarded
+  // structure lives here, so workers never contend: depth-indexed element
+  // scratch, the n-ary memo and probe buffer, the element arena stripe,
+  // and the worker's counter tally (merged into counters_ at region end).
   struct Ctx {
     // Per-recursion-depth element buffers reused across ApplyRec frames,
     // so the hot path performs no per-call allocation once warmed up. A
@@ -442,17 +421,8 @@ class SddManager {
     std::unordered_map<NaryKey, NodeId, NaryKeyHash> nary_memo;
     // Element span stripe (stable addresses; see AllocateElements).
     PoolArena<Element> element_arena;
-    // Node-id block cursor (parallel regions only), plus the context's
-    // batch of GC-recycled ids (refilled from the shared free list under
-    // free_ids_lock_ — parallel regions must reuse freed ids or the node
-    // store would grow monotonically across GC cycles).
-    size_t alloc_next = 0;
-    size_t alloc_end = 0;
-    std::vector<NodeId> recycled;
     PerfCounters counters;
-    // Remaining node allocations pre-charged against the attached budget
-    // (see ChargeSeq/ChargePar; reset by AttachBudget).
-    uint32_t budget_lease = 0;
+    size_t slot = 0;  // this context's DiagramStore slot
   };
 
   // Fan-in up to which AndN/OrN use the n-ary element product (ApplyN)
@@ -468,40 +438,14 @@ class SddManager {
   // level is the operand's element count, so a shallow cutoff already
   // yields hundreds of tasks).
   static constexpr int kForkDepth = 4;
-  static constexpr size_t kAllocBlock = 128;  // node ids per worker claim
 
   // The execution context for the current thread: slot 0 outside
   // parallel regions, 1 + pool slot inside.
   Ctx& CurCtx() {
-    return par_active_ ? ctxs_[1 + static_cast<size_t>(pool_->CurrentSlot())]
-                       : ctxs_[0];
+    return InParallelRegion()
+               ? ctxs_[1 + static_cast<size_t>(pool_->CurrentSlot())]
+               : ctxs_[0];
   }
-
-  // Budget charging, amortized via per-context leases (one shared-atomic
-  // touch per lease_chunk_ allocations). ChargeSeq denies (the caller
-  // returns kAborted before allocating); ChargePar charges but never
-  // denies — a worker losing the refill race still allocates, bounding
-  // overshoot by the number of in-flight workers.
-  bool ChargeSeq(Ctx& cx) {
-    if (cx.budget_lease == 0) {
-      if (!RefillLease(cx)) return false;
-    }
-    --cx.budget_lease;
-    return true;
-  }
-  void ChargePar(Ctx& cx) {
-    if (cx.budget_lease == 0) {
-      if (!RefillLease(cx)) return;
-    }
-    --cx.budget_lease;
-  }
-  // Out-of-line lease refill (slow path, once per lease_chunk_
-  // allocations): the governor's deny-before-allocate admission check,
-  // then the shared-atomic lease acquisition. Safe from worker threads.
-  bool RefillLease(Ctx& cx);
-  // See ObddManager::AdmitMemGrowth: trips the budget with the memory-
-  // pressure marker when the projected burst no longer fits.
-  bool AdmitMemGrowth();
 
   // Canonicalizes (compress + trim + hash-cons) the elements in *elements,
   // which is consumed as scratch space. All recursive Apply calls the
@@ -516,12 +460,10 @@ class SddManager {
   // allocate straight from their stripe).
   template <bool kPar>
   Element* AllocateElements(Ctx& cx, size_t n);
-  // Places `n` in a GC-recycled slot when one is free, else appends
-  // (single-owner path).
-  NodeId NewNode(const Node& n);
-  // Node allocation inside a parallel region: bump-allocates from the
-  // context's claimed id block.
-  NodeId AllocNodePar(Ctx& cx, const Node& n);
+  // Allocates a node id on cx's store slot and makes its FastInfo
+  // entry addressable.
+  template <bool kPar>
+  NodeId NewNode(Ctx& cx, const Node& n);
   // Re-registers every live small-scope node's (anchor, word) -> id
   // entry, restoring the semantic layer after the cache was cleared
   // (GC) or released (ShrinkCaches).
@@ -535,7 +477,7 @@ class SddManager {
   // bounded by one operation's (region's) footprint.
   //
   // The recursions are templated on the protocol, like the OBDD manager:
-  // kPar == false is the original single-owner path; kPar == true forks
+  // kPar == false is the single-owner path; kPar == true forks
   // element-product rows below kForkDepth and uses the concurrent
   // unique-table/cache entry points.
   NodeId Apply(NodeId a, NodeId b, Op op);
@@ -612,7 +554,8 @@ class SddManager {
   NodeId NotRecT(Ctx& cx, NodeId a, int depth);
   // Records a <-> b as negations of each other (for apply short-circuits).
   // Concurrent last-writer-wins is benign: negations are canonical, so
-  // racing writers store the same pair.
+  // racing writers store the same pair. The stores release, so a worker
+  // that follows a link (NotRecT) sees the linked node's FastInfo.
   void LinkNegations(NodeId a, NodeId b);
   // Computes and registers the semantic word of a freshly created node
   // whose vnode has a small anchor (no-op otherwise). Must be called for
@@ -638,7 +581,8 @@ class SddManager {
   void EnsureCtxSlots(size_t n) {
     while (ctxs_.size() < n) {
       ctxs_.emplace_back();
-      ctxs_.back().element_arena.SetMemAccount(mem_account_);
+      ctxs_.back().element_arena.SetMemAccount(mem_account());
+      ctxs_.back().slot = ctxs_.size() - 1;
     }
   }
 
@@ -686,10 +630,35 @@ class SddManager {
     }
   };
 
+  // Dead-slot sentinel: a freed node reads as a constant with var ==
+  // kDeadVar until its id is recycled (real constants are ids 0 and 1,
+  // never swept, and live literals have var >= 0).
+  static constexpr int kDeadVar = -2;
+  struct StoreTraits {
+    static Node Dead() {
+      return {Kind::kConst, false, kDeadVar, -1, nullptr, 0};
+    }
+    static bool IsDead(const Node& n) {
+      return n.kind == Kind::kConst && n.var == kDeadVar;
+    }
+    template <typename F>
+    static void ForEachChild(const Node& n, F f) {
+      for (uint32_t i = 0; i < n.num_elems; ++i) {
+        f(n.elems[i].first);
+        f(n.elems[i].second);
+      }
+    }
+    static bool HashConsed(const Node& n) {
+      return n.kind == Kind::kDecision;
+    }
+    static uint64_t Hash(const Node& n) {
+      return DecisionHash(n.vnode, {n.elems, n.num_elems});
+    }
+  };
+
   Vtree vtree_;
-  NodeStore<Node> nodes_;
-  NodeStore<FastInfo> fast_info_;  // indexed in lockstep with nodes_
-  UniqueTable unique_;
+  DiagramStore<Node, StoreTraits> store_;
+  NodeStore<FastInfo> fast_info_;  // indexed in lockstep with store_
   std::vector<NodeId> literal_ids_;  // (var << 1 | sign) -> id or -1
   ComputedCache<ApplyKey, NodeId> apply_cache_;
   // Exact memo for the currently running top-level operation (see
@@ -710,32 +679,11 @@ class SddManager {
   // EnsureCtxSlots appends.
   std::deque<Ctx> ctxs_;
   exec::TaskPool* pool_ = nullptr;
-  bool par_active_ = false;
-  // Attached budget (may be null) and the lease granularity derived from
-  // its node budget at attach time.
-  WorkBudget* budget_ = nullptr;
-  uint32_t lease_chunk_ = 0;
-  // Governor accounting (may be null); the governor pointer is resolved
-  // once at attach. The burst slack covers fixed-size mandatory
-  // allocations per lease: store and arena chunks, lazy memo shards,
-  // and the caches' floor arrays.
-  static constexpr uint64_t kMemBurstSlack = 1u << 20;
-  MemAccount* mem_account_ = nullptr;
-  MemGovernor* mem_governor_ = nullptr;
-  // GC state: external root ref-counts (indexed by node id, lazily
-  // grown), the node-id free list MakeDecision pops before growing
-  // nodes_, and the size-bucketed element-span free list (spans are
+  // Element spans of collected decisions, bucketed by size (spans are
   // arena-backed and can never be returned to the allocator, but exact-
   // size reuse bounds the arenas at their live + recycled high-water
   // mark).
-  std::vector<int32_t> external_refs_;
-  std::vector<NodeId> free_ids_;
-  // Guards free_ids_ inside parallel regions only (AllocNodePar refills
-  // context batches from it); single-owner access outside regions stays
-  // lock-free, ordered by the region bracket.
-  SpinLock free_ids_lock_;
   std::unordered_map<size_t, std::vector<Element*>> free_elements_;
-  GcStats gc_stats_;
   ThreadChecker thread_check_;
 };
 

@@ -200,8 +200,8 @@ struct ShardStats {
   uint64_t plan_hits = 0;
   uint64_t plan_misses = 0;
   uint64_t plan_evictions = 0;
-  // Evictions the GC policy targeted at the specific manager over its
-  // resident-node ceiling (vs. global-LRU fallback shedding).
+  // Plans the GC policy evicted from a manager over its resident-node
+  // ceiling (only that manager's plans pin its nodes).
   uint64_t targeted_evictions = 0;
   uint64_t compiles = 0;
   uint64_t gc_runs = 0;

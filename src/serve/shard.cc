@@ -828,14 +828,13 @@ void ShardWorker::RunGcPolicy() {
     if (manager->NumLiveNodes() <= options_.gc_live_node_ceiling) return;
     saw_pressure = true;
     reclaimed_this_check += TimedGc(manager);
-    // Pinned plans alone may hold the manager above the ceiling. The
-    // per-plan pinned-node accounting targets eviction at *this*
-    // manager's plans (LRU order among them): a plan's roots pin nodes
-    // only in its own manager, so shedding another manager's plans can
-    // never bring this one under its ceiling — the old global-LRU
-    // fallback only destroyed innocent bystanders' cache hits. When the
-    // over-ceiling manager has nothing left to shed, its live set is all
-    // permanent (literals) or externally pinned, and the policy stops.
+    // Pinned plans alone may hold the manager above the ceiling, so
+    // eviction targets *this* manager's plans (LRU order among them): a
+    // plan's roots pin nodes only in its own manager, and shedding
+    // another manager's plans could never bring this one under its
+    // ceiling. When the over-ceiling manager has nothing left to shed,
+    // its live set is all permanent (literals) or externally pinned, and
+    // the policy stops.
     const auto in_this_manager = [manager](const CompiledPlan& p) {
       return p.obdd == static_cast<const void*>(manager) ||
              p.sdd == static_cast<const void*>(manager);

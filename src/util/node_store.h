@@ -24,8 +24,8 @@
 //     claims a block of ids with one fetch_add and bump-allocates inside
 //     it, so id allocation is striped per worker and the only shared
 //     write is the (rare) block claim. Unused block tails are the
-//     claimer's to account for (the managers mark them dead and free-list
-//     them when the parallel region ends).
+//     claimer's to account for (util/diagram_store.h marks them dead
+//     and free-lists them when the parallel region ends).
 //
 // Capacity is kMaxChunks * 2^kChunkBits ids (64M at the defaults, ~32KB
 // of inline directory); exceeding it is a CHECK failure, far above any
