@@ -1,6 +1,7 @@
 #include "graph/elimination.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "util/logging.h"
@@ -8,38 +9,102 @@
 namespace ctsdd {
 namespace {
 
-// Number of fill edges eliminating v would create in `g`.
-int FillIn(const Graph& g, int v) {
-  const auto& nbrs = g.Neighbors(v);
-  int fill = 0;
-  for (auto it = nbrs.begin(); it != nbrs.end(); ++it) {
-    auto jt = it;
-    for (++jt; jt != nbrs.end(); ++jt) {
-      if (!g.HasEdge(*it, *jt)) ++fill;
+// Scratch marks over the vertices: Mark(v) tags v for the current round,
+// and NextRound() clears every tag in O(1) by moving to a fresh stamp.
+class VertexMarks {
+ public:
+  explicit VertexMarks(int n) : stamp_of_(n, 0) {}
+  void NextRound() { ++stamp_; }
+  void Mark(int v) { stamp_of_[v] = stamp_; }
+  bool Marked(int v) const { return stamp_of_[v] == stamp_; }
+
+ private:
+  std::vector<uint64_t> stamp_of_;
+  uint64_t stamp_ = 0;
+};
+
+// The working graph of a greedy elimination: one sorted adjacency vector
+// per vertex, so the fill counts below walk contiguous memory.
+class EliminationGraph {
+ public:
+  explicit EliminationGraph(const Graph& g) : adj_(g.num_vertices()) {
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
     }
   }
-  return fill;
-}
+
+  const std::vector<int>& Neighbors(int v) const { return adj_[v]; }
+  long Degree(int v) const { return static_cast<long>(adj_[v].size()); }
+
+  // Number of fill edges eliminating v would create: pairs of v's
+  // neighbors that are not adjacent. Counts the edges among the
+  // neighbors by marking them once and walking each neighbor's
+  // adjacency, instead of one edge lookup per pair.
+  long FillIn(int v, VertexMarks* marks) const {
+    marks->NextRound();
+    for (const int a : adj_[v]) marks->Mark(a);
+    long twice_inner_edges = 0;
+    for (const int a : adj_[v]) {
+      for (const int b : adj_[a]) twice_inner_edges += marks->Marked(b);
+    }
+    const long d = Degree(v);
+    return d * (d - 1) / 2 - twice_inner_edges / 2;
+  }
+
+  // Connects v's neighbors into a clique and removes v.
+  void Eliminate(int v) {
+    const std::vector<int> nbrs = std::move(adj_[v]);
+    adj_[v].clear();
+    for (const int a : nbrs) {
+      // adj(a) := adj(a) + nbrs - {a, v}, merged in sorted order.
+      merged_.clear();
+      auto x = adj_[a].begin();
+      auto y = nbrs.begin();
+      while (x != adj_[a].end() || y != nbrs.end()) {
+        int next;
+        if (y == nbrs.end() || (x != adj_[a].end() && *x < *y)) {
+          next = *x++;
+        } else {
+          if (x != adj_[a].end() && *x == *y) ++x;
+          next = *y++;
+        }
+        if (next != a && next != v) merged_.push_back(next);
+      }
+      adj_[a].swap(merged_);
+    }
+  }
+
+ private:
+  std::vector<std::vector<int>> adj_;
+  std::vector<int> merged_;  // scratch for Eliminate
+};
 
 }  // namespace
 
 std::vector<int> GreedyEliminationOrder(const Graph& graph,
                                         EliminationHeuristic heuristic,
                                         Rng* rng) {
-  Graph g = graph;  // working copy; elimination mutates it
-  const int n = g.num_vertices();
+  EliminationGraph g(graph);  // working copy; elimination mutates it
+  const int n = graph.num_vertices();
+  const bool min_fill = heuristic == EliminationHeuristic::kMinFill;
   std::vector<bool> eliminated(n, false);
   std::vector<int> order;
   order.reserve(n);
+  // Min-fill scores are cached and rescored only where an elimination can
+  // change them (below), so each step's scan reads the same scores a full
+  // recount would, and ties and Rng draws come out identical.
+  VertexMarks marks(n);
+  VertexMarks dirty(n);
+  std::vector<long> fill(min_fill ? n : 0);
+  for (int v = 0; v < n && min_fill; ++v) fill[v] = g.FillIn(v, &marks);
+  std::vector<int> touched;
   for (int step = 0; step < n; ++step) {
     int best = -1;
     long best_score = std::numeric_limits<long>::max();
     int num_tied = 0;
     for (int v = 0; v < n; ++v) {
       if (eliminated[v]) continue;
-      const long score = heuristic == EliminationHeuristic::kMinDegree
-                             ? g.Degree(v)
-                             : FillIn(g, v);
+      const long score = min_fill ? fill[v] : g.Degree(v);
       if (score < best_score) {
         best_score = score;
         best = v;
@@ -51,10 +116,29 @@ std::vector<int> GreedyEliminationOrder(const Graph& graph,
       }
     }
     CTSDD_CHECK_GE(best, 0);
-    g.MakeNeighborsClique(best);
-    g.IsolateVertex(best);
+    const std::vector<int> nbrs = g.Neighbors(best);
+    g.Eliminate(best);
     eliminated[best] = true;
     order.push_back(best);
+    if (!min_fill) continue;
+    // Eliminating `best` changes the neighborhood of its neighbors and
+    // adds edges only among them, so a fill score can change only for a
+    // vertex adjacent to one of them.
+    dirty.NextRound();
+    touched.clear();
+    for (const int a : nbrs) {
+      if (!dirty.Marked(a)) {
+        dirty.Mark(a);
+        touched.push_back(a);
+      }
+      for (const int b : g.Neighbors(a)) {
+        if (!dirty.Marked(b)) {
+          dirty.Mark(b);
+          touched.push_back(b);
+        }
+      }
+    }
+    for (const int u : touched) fill[u] = g.FillIn(u, &marks);
   }
   return order;
 }

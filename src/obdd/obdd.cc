@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <set>
 
 #include "util/fault_injection.h"
 #include "util/hashing.h"
@@ -459,47 +458,49 @@ uint64_t ObddManager::CountModels(NodeId f) const {
   return rec(f) << store_[f].level;
 }
 
+FlatDiagram ObddManager::Flatten(NodeId f) const {
+  return FlatDiagram::Flatten(
+      f, store_.size(), FlatDiagram::SizeUnit::kDecisions,
+      [this](NodeId u, auto visit) {
+        visit(store_[u].lo);
+        visit(store_[u].hi);
+      },
+      [this](NodeId u, FlatDiagram::Builder& b,
+             const std::vector<uint32_t>& handle) {
+        const Node& n = store_[u];
+        const int var = var_order_[n.level];
+        const FlatDiagram::Builder::Element elems[] = {
+            {b.Literal(var, false), handle[n.lo]},
+            {b.Literal(var, true), handle[n.hi]}};
+        return b.Decision(elems, n.level);
+      });
+}
+
 double ObddManager::WeightedModelCount(
     NodeId f, const std::vector<double>& prob_by_level) const {
   CTSDD_CHECK_EQ(static_cast<int>(prob_by_level.size()), num_levels());
-  std::unordered_map<NodeId, double> memo;
-  std::function<double(NodeId)> rec = [&](NodeId u) -> double {
-    if (u == kFalse) return 0.0;
-    if (u == kTrue) return 1.0;
-    const auto it = memo.find(u);
-    if (it != memo.end()) return it->second;
-    const Node& n = store_[u];
-    const double p = prob_by_level[n.level];
-    const double result = (1.0 - p) * rec(n.lo) + p * rec(n.hi);
-    memo.emplace(u, result);
-    return result;
-  };
-  return rec(f);
+  const FlatDiagram flat = Flatten(f);
+  std::vector<double> prob;
+  prob.reserve(flat.vars().size());
+  for (const int var : flat.vars()) prob.push_back(prob_by_level[LevelOf(var)]);
+  return flat.WeightedModelCount(prob);
 }
 
 int ObddManager::Size(NodeId f) const {
-  std::set<NodeId> seen;
-  std::vector<NodeId> stack = {f};
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    if (IsTerminal(u) || seen.count(u)) continue;
-    seen.insert(u);
-    stack.push_back(store_[u].lo);
-    stack.push_back(store_[u].hi);
-  }
-  return static_cast<int>(seen.size());
+  int total = 0;
+  for (const int count : LevelProfile(f)) total += count;
+  return total;
 }
 
 std::vector<int> ObddManager::LevelProfile(NodeId f) const {
   std::vector<int> profile(num_levels(), 0);
-  std::set<NodeId> seen;
+  std::vector<bool> seen(store_.size(), false);
   std::vector<NodeId> stack = {f};
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
-    if (IsTerminal(u) || seen.count(u)) continue;
-    seen.insert(u);
+    if (IsTerminal(u) || seen[u]) continue;
+    seen[u] = true;
     ++profile[store_[u].level];
     stack.push_back(store_[u].lo);
     stack.push_back(store_[u].hi);

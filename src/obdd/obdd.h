@@ -38,6 +38,7 @@
 #include "util/budget.h"
 #include "util/computed_cache.h"
 #include "util/diagram_store.h"
+#include "util/flat_diagram.h"
 #include "util/hashing.h"
 #include "util/logging.h"
 #include "util/mem_governor.h"
@@ -118,9 +119,14 @@ class ObddManager {
   uint64_t CountModels(NodeId f) const;
 
   // Probability of f when variable at level i is independently true with
-  // probability prob_by_level[i].
+  // probability prob_by_level[i] (each in [0, 1]): Flatten, then one
+  // linear pass (util/flat_diagram.h).
   double WeightedModelCount(NodeId f,
                             const std::vector<double>& prob_by_level) const;
+
+  // f as an immutable flat diagram: node (x; lo, hi) becomes the elements
+  // (not x, lo) and (x, hi); size() counts nodes, width() is Width(f).
+  FlatDiagram Flatten(NodeId f) const;
 
   // Reachable node count, terminals excluded.
   int Size(NodeId f) const;

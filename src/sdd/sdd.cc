@@ -1134,42 +1134,38 @@ uint64_t SddManager::CountModels(NodeId a) const {
   return CountModelsAt(a, vtree_.root(), &memo);
 }
 
-double SddManager::WmcAt(NodeId a, int vnode,
-                         const std::vector<double>& prob_of_var,
-                         std::unordered_map<uint64_t, double>* memo) const {
-  if (a == kFalse) return 0.0;
-  if (a == kTrue) return 1.0;
-  const uint64_t key = (static_cast<uint64_t>(a) << 20) |
-                       static_cast<uint64_t>(vnode);
-  const auto it = memo->find(key);
-  if (it != memo->end()) return it->second;
-  const Node& n = store_[a];
-  double result;
-  if (n.kind == Kind::kLiteral) {
-    const double p = prob_of_var[n.var];
-    result = n.sense ? p : 1.0 - p;
-  } else {
-    const int w = n.vnode;
-    result = 0.0;
-    for (const auto& [p, s] : elements(a)) {
-      result += WmcAt(p, vtree_.left(w), prob_of_var, memo) *
-                WmcAt(s, vtree_.right(w), prob_of_var, memo);
-    }
-  }
-  memo->emplace(key, result);
-  return result;
+FlatDiagram SddManager::Flatten(NodeId a) const {
+  std::vector<FlatDiagram::Builder::Element> elems;
+  return FlatDiagram::Flatten(
+      a, store_.size(), FlatDiagram::SizeUnit::kElements,
+      [this](NodeId u, auto visit) {
+        for (const auto& [p, s] : elements(u)) {
+          visit(p);
+          visit(s);
+        }
+      },
+      [this, &elems](NodeId u, FlatDiagram::Builder& b,
+                     const std::vector<uint32_t>& handle) {
+        const Node& n = store_[u];
+        if (n.kind == Kind::kLiteral) return b.Literal(n.var, n.sense);
+        elems.clear();
+        for (const auto& [p, s] : elements(u)) {
+          elems.emplace_back(handle[p], handle[s]);
+        }
+        return b.Decision(elems, n.vnode);
+      });
 }
 
 double SddManager::WeightedModelCount(
     NodeId a, const std::map<int, double>& prob) const {
-  int max_var = 0;
-  for (int v : vtree_.Vars()) max_var = std::max(max_var, v);
-  std::vector<double> prob_of_var(max_var + 1, 0.5);
-  for (const auto& [v, p] : prob) {
-    if (v <= max_var) prob_of_var[v] = p;
+  const FlatDiagram flat = Flatten(a);
+  std::vector<double> by_slot;
+  by_slot.reserve(flat.vars().size());
+  for (const int var : flat.vars()) {
+    const auto it = prob.find(var);
+    by_slot.push_back(it == prob.end() ? 0.5 : it->second);
   }
-  std::unordered_map<uint64_t, double> memo;
-  return WmcAt(a, vtree_.root(), prob_of_var, &memo);
+  return flat.WeightedModelCount(by_slot);
 }
 
 BoolFunc SddManager::ToBoolFunc(NodeId a) const {
@@ -1204,23 +1200,7 @@ int SddManager::Size(NodeId a) const {
 }
 
 int SddManager::NumDecisions(NodeId a) const {
-  int count = 0;
-  std::vector<bool> seen(store_.size(), false);
-  std::vector<NodeId> stack = {a};
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    if (IsConst(u) || seen[u]) continue;
-    seen[u] = true;
-    if (store_[u].kind == Kind::kDecision) {
-      ++count;
-      for (const auto& [p, s] : elements(u)) {
-        stack.push_back(p);
-        stack.push_back(s);
-      }
-    }
-  }
-  return count;
+  return Flatten(a).num_decisions();
 }
 
 std::vector<int> SddManager::VtreeProfile(NodeId a) const {

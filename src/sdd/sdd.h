@@ -58,6 +58,7 @@
 #include "util/budget.h"
 #include "util/computed_cache.h"
 #include "util/diagram_store.h"
+#include "util/flat_diagram.h"
 #include "util/mem_governor.h"
 #include "util/node_store.h"
 #include "util/scoped_memo.h"
@@ -157,10 +158,15 @@ class SddManager {
   // Models over the full vtree variable set.
   uint64_t CountModels(NodeId a) const;
 
-  // Probability under independent variable probabilities (by global id;
-  // variables absent from the map default to probability 0.5).
+  // Probability under independent variable probabilities (by global id,
+  // each in [0, 1]; variables absent from the map default to 0.5):
+  // Flatten, then one linear pass (util/flat_diagram.h).
   double WeightedModelCount(NodeId a,
                             const std::map<int, double>& prob) const;
+
+  // `a` as an immutable flat diagram with its elements as they are;
+  // size(), width() and num_decisions() match Size, Width, NumDecisions.
+  FlatDiagram Flatten(NodeId a) const;
 
   // The function computed by `a`, over the full vtree variable set
   // (requires <= BoolFunc::kMaxVars variables; for tests).
@@ -588,8 +594,6 @@ class SddManager {
 
   uint64_t CountModelsAt(NodeId a, int vnode,
                          std::unordered_map<uint64_t, uint64_t>* memo) const;
-  double WmcAt(NodeId a, int vnode, const std::vector<double>& prob_of_var,
-               std::unordered_map<uint64_t, double>* memo) const;
 
   struct ApplyKey {
     NodeId a = 0, b = 0;

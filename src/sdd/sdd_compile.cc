@@ -420,11 +420,8 @@ SddManager::NodeId CompileFuncToSdd(SddManager* manager, const BoolFunc& f,
 }
 
 SddStats ComputeSddStats(const SddManager& manager, SddManager::NodeId root) {
-  SddStats stats;
-  stats.size = manager.Size(root);
-  stats.width = manager.Width(root);
-  stats.decisions = manager.NumDecisions(root);
-  return stats;
+  const FlatDiagram flat = manager.Flatten(root);
+  return {flat.size(), flat.width(), flat.num_decisions()};
 }
 
 }  // namespace ctsdd

@@ -3,15 +3,22 @@
 // A plan is the reusable product of one (query, database, strategy)
 // compilation: the rooted OBDD or SDD lineage inside a pooled manager,
 // pinned against garbage collection via the manager's external-root
-// refs, plus the variable list that turns request weights into a
-// weighted model count. Repeats — including weight-varied repeats —
-// skip recompilation entirely and pay only the WMC pass.
+// refs, plus its flattened copy (util/flat_diagram.h) that answers every
+// request for it. Repeats — including weight-varied repeats — skip
+// recompilation entirely and pay only one linear pass over the flat copy.
 //
-// The cache is single-threaded (each shard owns one; see serve/shard.h)
-// and capacity-bounded with LRU eviction. Eviction runs the owner's
+// Threading: each shard owns one cache (see serve/shard.h), and a mutex
+// inside guards every method. Only the owning shard's thread inserts and
+// evicts; admission threads look plans up (LookupHit) and copy the flat
+// copy out under the lock, so a hit can be answered by any shard. A plan
+// pointer returned by Lookup or Insert therefore stays valid on the
+// owning thread until that thread's next Insert/Evict*/EraseIf.
+//
+// Capacity is bounded with LRU eviction. Eviction runs the owner's
 // callback so the plan's root refs are released before the entry is
 // destroyed — that is what turns an evicted plan's nodes into garbage
-// the next collection can reclaim.
+// the next collection can reclaim. A flat copy still held by a hit in
+// flight lives on until that hit is answered.
 
 #ifndef CTSDD_SERVE_PLAN_CACHE_H_
 #define CTSDD_SERVE_PLAN_CACHE_H_
@@ -20,6 +27,8 @@
 #include <functional>
 #include <iterator>
 #include <list>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,6 +37,7 @@
 #include "obdd/obdd.h"
 #include "sdd/sdd.h"
 #include "serve/plan_stats.h"
+#include "util/flat_diagram.h"
 #include "util/hashing.h"
 #include "util/mem_governor.h"
 
@@ -53,6 +63,16 @@ struct PlanKeyHash {
   }
 };
 
+// What answering a request needs from a cached plan. Nothing in it points
+// into the owner's managers, so any shard can serve it, even after the
+// owner evicted the plan and collected its nodes.
+struct PlanHit {
+  std::shared_ptr<const FlatDiagram> flat;  // null: no plan
+  std::shared_ptr<PlanStats> stats;         // may be null (tests)
+  PlanRoute route = PlanRoute::kSdd;
+  int lineage_gates = 0;
+};
+
 struct CompiledPlan {
   PlanRoute route = PlanRoute::kSdd;
   // Exactly one manager pointer is set for non-constant lineages; the
@@ -67,19 +87,22 @@ struct CompiledPlan {
   // Constant lineage (no variables): the fixed truth value.
   bool is_constant = false;
   bool constant_value = false;
-  // Compile-time statistics carried into responses.
+  // The plan flattened at compile time (a constant diagram for constant
+  // lineages); every request for the plan is answered from it, and its
+  // size() and width() are the ones responses report.
+  std::shared_ptr<const FlatDiagram> flat;
   int lineage_gates = 0;
-  int size = 0;
-  int width = 0;
   // Nodes this plan pins in its manager while cached (reachable internal
   // OBDD nodes / SDD decision nodes from the pinned root). The GC policy
   // uses it to target eviction at the manager actually over its
   // resident-node ceiling instead of shedding in global LRU order.
   int pinned_nodes = 0;
   // Per-plan telemetry, shared with the PlanStatsRegistry live table so
-  // the debug server reads it without touching this (single-threaded)
-  // cache. Null only for plans built before telemetry wiring (tests).
+  // the debug server reads it without taking this cache's lock. Null
+  // only for plans built before telemetry wiring (tests).
   std::shared_ptr<PlanStats> stats;
+
+  PlanHit Hit() const { return {flat, stats, route, lineage_gates}; }
 };
 
 class PlanCache {
@@ -99,18 +122,22 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Attaches the governor account; entry overhead (the entry itself plus
-  // the plan's variable list) is charged under MemLayer::kPlanCache at
-  // Insert and released at eviction. The pinned diagram nodes themselves
+  // Attaches the governor account; entry overhead (the entry itself, the
+  // plan's variable list and its flat copy) is charged under
+  // MemLayer::kPlanCache at Insert and released at eviction. The pinned diagram nodes themselves
   // are store/arena bytes of the owning manager's account, not counted
   // here (no double-charging). Attach before the first Insert.
   void SetMemAccount(MemAccount* account) { account_ = account; }
 
-  size_t MemoryBytes() const { return charged_bytes_; }
+  size_t MemoryBytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return charged_bytes_;
+  }
 
-  // Returns the cached plan (bumped to most-recently-used) or nullptr.
-  // The pointer is valid until the next Insert/EvictOne/EraseIf.
+  // Returns the cached plan (bumped to most-recently-used) or nullptr,
+  // counting a hit or a miss. Owning thread only (see the file comment).
   CompiledPlan* Lookup(const PlanKey& key) {
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
       ++misses_;
@@ -121,10 +148,26 @@ class PlanCache {
     return &entries_.front().second;
   }
 
+  // Admission-side lookup, safe on any thread: when `key` is cached,
+  // counts a hit, bumps it to most-recently-used and runs `on_hit` on the
+  // plan under the lock; returns false and counts nothing otherwise (the
+  // owner's Lookup counts the miss when it takes the request).
+  template <typename F>
+  bool LookupHit(const PlanKey& key, F&& on_hit) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    ++hits_;
+    entries_.splice(entries_.begin(), entries_, it->second);
+    on_hit(static_cast<const CompiledPlan&>(entries_.front().second));
+    return true;
+  }
+
   // Inserts (the key must not be present — callers Lookup first) and
   // returns the resident plan, evicting LRU entries past capacity.
   CompiledPlan* Insert(const PlanKey& key, CompiledPlan plan) {
-    while (entries_.size() >= capacity_) EvictOne();
+    std::lock_guard<std::mutex> lock(mu_);
+    while (entries_.size() >= capacity_) Erase(std::prev(entries_.end()));
     entries_.emplace_front(key, std::move(plan));
     index_.emplace(key, entries_.begin());
     ChargeEntry(entries_.front().second, +1);
@@ -132,17 +175,9 @@ class PlanCache {
   }
 
   // Evicts the least-recently-used entry; false when empty. Shards call
-  // this under GC pressure, when pinned plans alone exceed the
-  // resident-node ceiling.
+  // this under memory pressure.
   bool EvictOne() {
-    if (entries_.empty()) return false;
-    auto& [key, plan] = entries_.back();
-    if (on_evict_) on_evict_(key, plan);
-    ChargeEntry(plan, -1);
-    index_.erase(key);
-    entries_.pop_back();
-    ++evictions_;
-    return true;
+    return EvictOneMatching([](const CompiledPlan&) { return true; });
   }
 
   // Evicts the least-recently-used entry for which `pred` holds; false
@@ -152,13 +187,10 @@ class PlanCache {
   // matching plans goes).
   template <typename Pred>
   bool EvictOneMatching(Pred&& pred) {
+    std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
       if (!pred(static_cast<const CompiledPlan&>(it->second))) continue;
-      if (on_evict_) on_evict_(it->first, it->second);
-      ChargeEntry(it->second, -1);
-      index_.erase(it->first);
-      entries_.erase(std::next(it).base());
-      ++evictions_;
+      Erase(std::prev(it.base()));
       return true;
     }
     return false;
@@ -168,6 +200,7 @@ class PlanCache {
   // per-manager pinned-node accounting behind the eviction policy.
   template <typename Pred>
   int PinnedNodesMatching(Pred&& pred) const {
+    std::lock_guard<std::mutex> lock(mu_);
     int total = 0;
     for (const auto& [key, plan] : entries_) {
       if (pred(static_cast<const CompiledPlan&>(plan))) {
@@ -181,35 +214,54 @@ class PlanCache {
   // manager about to be destroyed).
   template <typename Pred>
   void EraseIf(Pred&& pred) {
+    std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end();) {
-      if (!pred(static_cast<const CompiledPlan&>(it->second))) {
+      if (pred(static_cast<const CompiledPlan&>(it->second))) {
+        it = Erase(it);
+      } else {
         ++it;
-        continue;
       }
-      if (on_evict_) on_evict_(it->first, it->second);
-      ChargeEntry(it->second, -1);
-      index_.erase(it->first);
-      it = entries_.erase(it);
-      ++evictions_;
     }
   }
 
-  size_t size() const { return entries_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_.size();
+  }
+  uint64_t hits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hits_;
+  }
+  uint64_t misses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return misses_;
+  }
+  uint64_t evictions() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return evictions_;
+  }
 
  private:
-  // Heap overhead of one cached entry: the list node payload plus the
-  // plan's variable list. Computed identically at insert and evict (the
+  using Entries = std::list<std::pair<PlanKey, CompiledPlan>>;
+
+  // Heap overhead of one cached entry: the list node payload, the plan's
+  // variable list, its flat copy and its stats block (dominated by the
+  // inline histogram). Computed identically at insert and evict (the
   // plan is immutable while cached), so charges round-trip exactly.
   static size_t EntryBytes(const CompiledPlan& plan) {
-    // The stats block (dominated by its inline histogram) is charged
-    // here too; the pointer is immutable while cached, so insert and
-    // evict see the same size.
     return sizeof(std::pair<PlanKey, CompiledPlan>) +
            plan.vars.capacity() * sizeof(int) +
+           (plan.flat != nullptr ? plan.flat->MemoryBytes() : 0) +
            (plan.stats != nullptr ? sizeof(PlanStats) : 0);
+  }
+
+  // Evicts one entry (lock held); returns the entry after it.
+  Entries::iterator Erase(Entries::iterator it) {
+    if (on_evict_) on_evict_(it->first, it->second);
+    ChargeEntry(it->second, -1);
+    index_.erase(it->first);
+    ++evictions_;
+    return entries_.erase(it);
   }
 
   void ChargeEntry(const CompiledPlan& plan, int sign) {
@@ -225,15 +277,15 @@ class PlanCache {
     }
   }
 
+  mutable std::mutex mu_;
   size_t capacity_;
   EvictFn on_evict_;
   MemAccount* account_ = nullptr;
   size_t charged_bytes_ = 0;
   // MRU-first entry list + key index (classic LRU layout; list iterators
   // stay valid across splice, so the index never goes stale).
-  std::list<std::pair<PlanKey, CompiledPlan>> entries_;
-  std::unordered_map<PlanKey, decltype(entries_)::iterator, PlanKeyHash>
-      index_;
+  Entries entries_;
+  std::unordered_map<PlanKey, Entries::iterator, PlanKeyHash> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

@@ -485,8 +485,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       remaining.fetch_sub(1);
       continue;
     }
-    // Signature-routed sharding: repeats of a (query, database) pair
-    // always land on the shard holding their plan and managers.
+    // Signature-routed ownership: repeats of a (query, database) pair
+    // always belong to the shard holding their plan and managers.
     const PlanKey key{QuerySignature(request.query),
                       DatabaseSignature(*request.db), request.strategy,
                       request.route};
@@ -543,25 +543,39 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
                             std::chrono::duration<double, std::milli>(
                                 deadline_ms));
     }
-    std::shared_ptr<ShardWorker> worker;
-    {
-      std::lock_guard<std::mutex> lock(slots_[shard]->mu);
-      worker = slots_[shard]->worker;
+    // The owner counts the request and hands over the plan if it has it
+    // cached. A hit goes to the owner when it is idle, else to the next
+    // idle shard, else back to the owner; misses and the request that
+    // completes the owner's GC-check interval always queue on the owner
+    // (see serve/shard.h).
+    std::shared_ptr<ShardWorker> worker = slots_[shard]->Get();
+    ShardJob job{state, /*is_hedge=*/false};
+    job.gc_check = worker->Admit(key, &state->hit);
+    size_t target = shard;
+    if (state->hit.flat != nullptr && !job.gc_check && !worker->idle()) {
+      for (size_t k = 1; k < slots_.size(); ++k) {
+        const size_t other = (shard + k) % slots_.size();
+        std::shared_ptr<ShardWorker> candidate = slots_[other]->Get();
+        if (candidate->idle()) {
+          worker = std::move(candidate);
+          target = other;
+          break;
+        }
+      }
     }
     double retry_after_ms = 0;
-    if (!worker->Submit(ShardJob{state, /*is_hedge=*/false},
-                        &retry_after_ms)) {
+    if (!worker->Submit(job, &retry_after_ms)) {
       // Admission control shed the job: fail it typed, with a backoff
       // hint, instead of queueing without bound.
       responses[i].status =
           Status::Unavailable("shard queue full; retry later");
-      responses[i].shard = static_cast<int>(shard);
+      responses[i].shard = static_cast<int>(target);
       responses[i].retry_after_ms = retry_after_ms;
       obs::FlightRecord rec;
       rec.trace_id = state->trace.trace_id;
       rec.query_sig = key.query_sig;
       rec.db_sig = key.db_sig;
-      rec.shard = static_cast<int>(shard);
+      rec.shard = static_cast<int>(target);
       rec.status_code = static_cast<int>(StatusCode::kUnavailable);
       flight_->Record(rec);
       // The shed request never reaches Publish: close its track here.

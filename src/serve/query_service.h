@@ -8,10 +8,12 @@
 // tuple probabilities enter only at weighted-model-count time — pays a
 // WMC pass over the compiled diagram and nothing else.
 //
-// Requests are sharded by (query, database) signature across worker
-// threads. Each shard owns its managers (the managers stay
-// single-threaded; see util/thread_check.h) and its plan-cache
-// partition, and bounds resident memory with the managers' mark-from-
+// Each (query, database) signature has an owner shard, a worker thread
+// that owns its managers (the managers stay single-threaded; see
+// util/thread_check.h) and its plan-cache partition. Misses compile on
+// the owner; hits carry the plan's immutable flat copy and are answered
+// by the owner when it is idle, else by any idle shard (serve/shard.h).
+// Each owner bounds resident memory with the managers' mark-from-
 // roots garbage collection: evicted plans release their root refs, the
 // next collection reclaims their nodes, and caches shrink back to
 // baseline — so the service runs indefinitely where the one-shot

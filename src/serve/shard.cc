@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -50,7 +49,6 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
       quarantine_(quarantine),
       sup_(sup),
       plan_stats_(plan_stats),
-      gc_interval_(std::max(1, options.gc_check_interval)),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
                // Unpin the plan's lineage: the released nodes become
@@ -66,6 +64,7 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
                  plan_stats_->OnEviction(plan.stats);
                }
              }),
+      gc_interval_(std::max(1, options.gc_check_interval)),
       thread_(&ShardWorker::Loop, this) {
   // Safe after the worker thread started: no job can be submitted (and
   // so no byte charged) before this constructor returns the worker.
@@ -120,6 +119,25 @@ bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
   return false;
 }
 
+bool ShardWorker::Admit(const PlanKey& key, PlanHit* hit) {
+  plans_.LookupHit(key, [hit](const CompiledPlan& plan) {
+    *hit = plan.Hit();
+    if (plan.stats != nullptr) {
+      plan.stats->hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::lock_guard<std::mutex> lock(gc_mu_);
+  if (++requests_since_gc_check_ < gc_interval_) return false;
+  requests_since_gc_check_ = 0;
+  return true;
+}
+
+bool ShardWorker::idle() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !stopping_ && queue_.empty() && current_ == nullptr &&
+         !exited_.load(std::memory_order_acquire);
+}
+
 ShardStats ShardWorker::stats() const {
   ShardStats out;
   {
@@ -131,6 +149,10 @@ ShardStats ShardWorker::stats() const {
   // never published a snapshot.
   out.sheds = sheds_.load(std::memory_order_relaxed);
   out.max_retry_hint_ms = max_retry_hint_.load(std::memory_order_relaxed);
+  // Hits are counted at admission on client threads, and other shards
+  // may answer them, so the cache counters are read live as well.
+  out.plan_hits = plans_.hits();
+  out.plan_misses = plans_.misses();
   // Byte accounting reads straight from the shard account's atomics —
   // always current, even mid-compile.
   out.mem_bytes = account_.bytes();
@@ -220,6 +242,7 @@ void ShardWorker::Process(const ShardJob& job) {
   JobState& state = *job.state;
   if (state.claimed.load(std::memory_order_acquire)) {
     // Another copy (hedge sibling or the supervisor) already answered.
+    if (job.gc_check) RunGcPolicy();
     ++local_duplicate_skips_;
     UpdateStats();
     return;
@@ -264,18 +287,26 @@ void ShardWorker::Process(const ShardJob& job) {
       std::chrono::steady_clock::now() >= state.deadline) {
     response.status =
         Status::DeadlineExceeded("deadline expired while queued");
-    FinishJob(job, response, timer.ElapsedMillis());
+    FinishJob(job, response, timer);
     return;
   }
 
-  CompiledPlan* plan = plans_.Lookup(state.key);
-  response.plan_cache_hit = plan != nullptr;
-  pending_record_.cache_hit = plan != nullptr;
-  if (plan != nullptr && plan->stats != nullptr) {
-    plan->stats->hits.fetch_add(1, std::memory_order_relaxed);
+  // A hit found at admission brings its plan along; a miss is looked up
+  // again here, where the owner counts it (a compile of the same key that
+  // ran ahead of this request turns it into a hit).
+  PlanHit hit = state.hit;
+  if (hit.flat == nullptr) {
+    if (CompiledPlan* cached = plans_.Lookup(state.key)) {
+      hit = cached->Hit();
+      if (hit.stats != nullptr) {
+        hit.stats->hits.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
+  response.plan_cache_hit = hit.flat != nullptr;
+  pending_record_.cache_hit = response.plan_cache_hit;
   Beat();
-  if (plan == nullptr) {
+  if (hit.flat == nullptr) {
     // Quarantine re-check at compile time: the signature may have been
     // quarantined after this copy was admitted (several poison requests
     // in flight at once), and a restart must not buy poison a fresh
@@ -285,7 +316,7 @@ void ShardWorker::Process(const ShardJob& job) {
                              std::chrono::steady_clock::now())) {
       response.status = Status::ResourceExhausted(
           "query signature quarantined; retry after parole");
-      FinishJob(job, response, timer.ElapsedMillis());
+      FinishJob(job, response, timer);
       return;
     }
     // Critical-tier admission tightening: a cold compile is the one
@@ -304,14 +335,15 @@ void ShardWorker::Process(const ShardJob& job) {
       response.status = Status::ResourceExhausted(
           "memory pressure: cold compile rejected; retry later");
       response.retry_after_ms = MemRetryHintMs();
-      FinishJob(job, response, timer.ElapsedMillis());
+      FinishJob(job, response, timer);
       return;
     }
     Timer compile_timer;
     auto compiled = CompilePlan(job);
     pending_record_.compile_ms = compile_timer.ElapsedMillis();
     if (compiled.ok()) {
-      plan = plans_.Insert(state.key, std::move(compiled).value());
+      CompiledPlan* plan =
+          plans_.Insert(state.key, std::move(compiled).value());
       if (plan->stats != nullptr) {
         // Finish the descriptive fields, then publish: the registry's
         // readers only ever see a complete block.
@@ -325,6 +357,7 @@ void ShardWorker::Process(const ShardJob& job) {
       if (quarantine_ != nullptr) {
         quarantine_->ReportSuccess(state.key.query_sig, state.key.db_sig);
       }
+      hit = plan->Hit();
     } else {
       response.status = compiled.status();
       if (last_compile_mem_pressure_) {
@@ -341,41 +374,47 @@ void ShardWorker::Process(const ShardJob& job) {
     }
   }
   Beat();
-  if (plan != nullptr) {
-    pending_record_.route = static_cast<int>(plan->route);
-    pending_record_.plan_size = plan->size;
+  if (hit.flat != nullptr) {
+    const FlatDiagram& flat = *hit.flat;
+    pending_record_.route = static_cast<int>(hit.route);
+    pending_record_.plan_size = flat.size();
     {
       obs::TraceSpan wmc_span("serve", "wmc", state.trace);
       Timer wmc_timer;
-      response.probability = EvaluatePlan(*plan, request);
+      StatusOr<double> probability = EvaluatePlan(flat, request);
       pending_record_.wmc_ms = wmc_timer.ElapsedMillis();
-      if (plan->stats != nullptr) {
-        plan->stats->wmc_us.Record(
-            static_cast<uint64_t>(pending_record_.wmc_ms * 1000.0));
+      if (probability.ok()) {
+        response.probability = probability.value();
+        if (hit.stats != nullptr) {
+          hit.stats->wmc_us.Record(
+              static_cast<uint64_t>(pending_record_.wmc_ms * 1000.0));
+        }
+      } else {
+        response.status = probability.status();
       }
       if (wmc_span.armed()) {
-        wmc_span.AddArg("plan_size", static_cast<uint64_t>(plan->size));
+        wmc_span.AddArg("plan_size", static_cast<uint64_t>(flat.size()));
       }
     }
-    response.lineage_gates = plan->lineage_gates;
-    response.size = plan->size;
-    response.width = plan->width;
+    response.lineage_gates = hit.lineage_gates;
+    response.size = flat.size();
+    response.width = flat.width();
     // A cached ladder plan keeps answering for the original key, so
     // repeats report degraded too.
-    response.degraded = plan->route != request.route;
+    response.degraded = hit.route != request.route;
     pending_record_.degraded = response.degraded;
   }
   Beat();
-
-  if (++requests_since_gc_check_ >= gc_interval_) {
-    requests_since_gc_check_ = 0;
-    RunGcPolicy();
-  }
-  FinishJob(job, response, timer.ElapsedMillis());
+  FinishJob(job, response, timer);
 }
 
 void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
-                            double ms) {
+                            const Timer& timer) {
+  // The owner's GC check runs before the response is published, so the
+  // request that completed the interval is the one that pays for it, and
+  // the client's next request sees the policy's effects.
+  if (job.gc_check) RunGcPolicy();
+  const double ms = timer.ElapsedMillis();
   response.latency_ms = ms;
   Beat();
   if (!job.state->TryClaim()) {
@@ -475,6 +514,8 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     plan.is_constant = true;
     plan.constant_value = Evaluate(
         circuit, std::vector<bool>(std::max(circuit.num_vars(), 0), false));
+    plan.flat = std::make_shared<const FlatDiagram>(
+        FlatDiagram::Constant(plan.constant_value));
     plan.stats = std::make_shared<PlanStats>();
     plan.stats->route = static_cast<int>(plan.route);
     plan.stats->requested_route = static_cast<int>(request.route);
@@ -502,6 +543,7 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
       if (pw.ok()) exact_pw = pw.value();
     }
   }
+  Beat();
   const auto stamp = [&](StatusOr<CompiledPlan>& result, int hops) {
     if (!result.ok() || result.value().stats == nullptr) return;
     PlanStats& s = *result.value().stats;
@@ -600,8 +642,14 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
   plan.stats->lineage_gates = plan.lineage_gates;
   plan.stats->num_vars = static_cast<int>(plan.vars.size());
   MemGovernor* gov = options_.mem_governor;
-  if (route == PlanRoute::kObdd) {
-    ObddManager* manager = ObddFor(plan.vars);
+  // One budgeted compile in `manager`: on success the root is pinned and
+  // flattened, and the flattening walk supplies the plan's size, width
+  // and pinned-node count (OBDD nodes or SDD decisions).
+  const auto compile = [&](auto* manager, auto compile_fn) -> Status {
+    // Acquiring a manager may build one, which is slow enough under
+    // sanitizers to look like a stall: stamp progress before the compile
+    // (whose leases stamp it from there on) and before the flattening.
+    Beat();
     const MemAccount* acct = manager->mem_account();
     const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
     if (budget != nullptr) manager->AttachBudget(budget);
@@ -611,7 +659,7 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
     if (gov != nullptr && budget != nullptr) {
       gov->RegisterCompile(budget, manager->mem_account());
     }
-    const auto root = CompileCircuitToObdd(manager, circuit);
+    const auto root = compile_fn(manager);
     if (gov != nullptr && budget != nullptr) gov->UnregisterCompile(budget);
     if (budget != nullptr) manager->DetachBudget();
     if (root < 0) {
@@ -620,72 +668,49 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
       TimedGc(manager);
       return budget->status();
     }
-    plan.obdd = manager;
-    plan.obdd_root = root;
     manager->AddRootRef(root);
-    plan.size = manager->Size(root);
-    plan.width = manager->Width(root);
-    plan.pinned_nodes = plan.size;
-    plan.stats->nodes = static_cast<uint64_t>(plan.size);
-    plan.stats->edges = 2 * static_cast<uint64_t>(plan.size);
-    plan.stats->width = static_cast<uint64_t>(plan.width);
+    Beat();
+    plan.flat = std::make_shared<const FlatDiagram>(manager->Flatten(root));
+    plan.pinned_nodes = plan.flat->num_decisions();
+    plan.stats->nodes = static_cast<uint64_t>(plan.flat->size());
+    plan.stats->edges = 2 * static_cast<uint64_t>(plan.flat->size());
+    plan.stats->width = static_cast<uint64_t>(plan.flat->width());
     plan.stats->pinned_nodes = static_cast<uint64_t>(plan.pinned_nodes);
     const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
     plan.stats->pinned_bytes =
         bytes_after > bytes_before ? bytes_after - bytes_before : 0;
+    return Status::Ok();
+  };
+  if (route == PlanRoute::kObdd) {
+    plan.obdd = ObddFor(plan.vars);
+    CTSDD_RETURN_IF_ERROR(compile(plan.obdd, [&](ObddManager* m) {
+      return plan.obdd_root = CompileCircuitToObdd(m, circuit);
+    }));
   } else {
     auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
     CTSDD_RETURN_IF_ERROR(vtree.status());
-    SddManager* manager = SddFor(std::move(vtree).value());
-    const MemAccount* acct = manager->mem_account();
-    const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
-    if (budget != nullptr) manager->AttachBudget(budget);
-    if (gov != nullptr && budget != nullptr) {
-      gov->RegisterCompile(budget, manager->mem_account());
-    }
-    const auto root = CompileCircuitToSdd(manager, circuit);
-    if (gov != nullptr && budget != nullptr) gov->UnregisterCompile(budget);
-    if (budget != nullptr) manager->DetachBudget();
-    if (root < 0) {
-      TimedGc(manager);
-      return budget->status();
-    }
-    plan.sdd = manager;
-    plan.sdd_root = root;
-    manager->AddRootRef(root);
-    const SddStats stats = ComputeSddStats(*manager, root);
-    plan.size = stats.size;
-    plan.width = stats.width;
-    plan.pinned_nodes = stats.decisions;
-    plan.stats->nodes = static_cast<uint64_t>(stats.size);
-    plan.stats->edges = 2 * static_cast<uint64_t>(stats.size);
-    plan.stats->width = static_cast<uint64_t>(stats.width);
-    plan.stats->pinned_nodes = static_cast<uint64_t>(stats.decisions);
-    const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
-    plan.stats->pinned_bytes =
-        bytes_after > bytes_before ? bytes_after - bytes_before : 0;
+    plan.sdd = SddFor(std::move(vtree).value());
+    CTSDD_RETURN_IF_ERROR(compile(plan.sdd, [&](SddManager* m) {
+      return plan.sdd_root = CompileCircuitToSdd(m, circuit);
+    }));
   }
   return plan;
 }
 
-double ShardWorker::EvaluatePlan(const CompiledPlan& plan,
-                                 const QueryRequest& request) {
-  if (plan.is_constant) return plan.constant_value ? 1.0 : 0.0;
-  const auto weight = [&](int tuple) {
-    return static_cast<size_t>(tuple) < request.weights.size()
-               ? request.weights[tuple]
-               : request.db->TupleProb(tuple);
-  };
-  if (plan.route == PlanRoute::kObdd) {
-    std::vector<double> prob_by_level(plan.vars.size());
-    for (size_t i = 0; i < plan.vars.size(); ++i) {
-      prob_by_level[i] = weight(plan.vars[i]);
+StatusOr<double> ShardWorker::EvaluatePlan(const FlatDiagram& flat,
+                                           const QueryRequest& request) {
+  std::vector<double> prob;
+  prob.reserve(flat.vars().size());
+  for (const int tuple : flat.vars()) {
+    const double p = static_cast<size_t>(tuple) < request.weights.size()
+                         ? request.weights[tuple]
+                         : request.db->TupleProb(tuple);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return Status::InvalidArgument("tuple probability outside [0, 1]");
     }
-    return plan.obdd->WeightedModelCount(plan.obdd_root, prob_by_level);
+    prob.push_back(p);
   }
-  std::map<int, double> probs;
-  for (const int v : plan.vars) probs[v] = weight(v);
-  return plan.sdd->WeightedModelCount(plan.sdd_root, probs);
+  return flat.WeightedModelCount(prob);
 }
 
 ObddManager* ShardWorker::ObddFor(const std::vector<int>& order) {
@@ -853,6 +878,7 @@ void ShardWorker::RunGcPolicy() {
   // Reclaim-rate feedback: when a check finds pressure (a manager over
   // its ceiling, or nodes actually reclaimed) check again sooner; when
   // it finds nothing, back off — up to 8x the configured cadence.
+  std::lock_guard<std::mutex> lock(gc_mu_);
   if (saw_pressure || reclaimed_this_check > 0) {
     gc_interval_ = std::max(1, gc_interval_ / 2);
   } else {
@@ -873,8 +899,6 @@ void ShardWorker::UpdateStats() {
   stats_.fallbacks = local_fallbacks_;
   stats_.budget_aborts = local_budget_aborts_;
   stats_.duplicate_skips = local_duplicate_skips_;
-  stats_.plan_hits = plans_.hits();
-  stats_.plan_misses = plans_.misses();
   stats_.plan_evictions = plans_.evictions();
   stats_.targeted_evictions = local_targeted_evictions_;
   stats_.compiles = local_compiles_;

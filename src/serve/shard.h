@@ -1,7 +1,7 @@
 // One shard of the query service: a worker thread owning its managers.
 //
 // The managers are single-threaded by contract, so the shard is the unit
-// of both concurrency and memory accounting: it runs one thread, pools
+// of compilation and memory accounting: it runs one thread, pools
 // its managers (OBDD managers keyed by exact variable order, SDD
 // managers keyed by exact vtree structure — the one shared structure,
 // the process-wide WidthCache, carries its own mutex), keeps the plans
@@ -48,6 +48,8 @@
 #include "serve/query_service.h"
 #include "serve/serve_stats.h"
 #include "util/budget.h"
+#include "util/flat_diagram.h"
+#include "util/timer.h"
 
 namespace ctsdd {
 
@@ -77,6 +79,9 @@ struct JobState {
   // the claim winner emits the terminal async end event in Publish.
   obs::TraceContext trace;
   double submit_ts_us = 0;  // TraceNowUs() at admission, for queue.wait
+  // The plan when admission found it cached (flat == nullptr on a miss).
+  // Shared by every dispatched copy, so a hedge copy answers it too.
+  PlanHit hit;
   std::atomic<int>* remaining = nullptr;
   std::mutex* done_mu = nullptr;
   std::condition_variable* done_cv = nullptr;
@@ -152,6 +157,9 @@ struct JobState {
 struct ShardJob {
   std::shared_ptr<JobState> state;
   bool is_hedge = false;
+  // Set on the request that completed its owner's GC-check interval
+  // (see ShardWorker::Admit); the owner runs its GC policy after it.
+  bool gc_check = false;
 };
 
 class ShardWorker {
@@ -188,6 +196,17 @@ class ShardWorker {
   // sheds are not counted against the shard (the primary copy is still
   // in flight).
   bool Submit(const ShardJob& job, double* retry_after_ms);
+
+  // Admission against this shard as the request's owner (thread-safe):
+  // copies the plan into `*hit` when it is cached (counting the hit and
+  // bumping it in LRU order), and counts the request toward the GC-check
+  // interval. Returns true when this request completes the interval; it
+  // must then be submitted here with ShardJob::gc_check set.
+  bool Admit(const PlanKey& key, PlanHit* hit);
+
+  // True when the worker is running, holds no job and has none queued
+  // (thread-safe): the shard a hit can go to without waiting.
+  bool idle() const;
 
   // Consistent snapshot of the shard's counters (thread-safe).
   ShardStats stats() const;
@@ -265,9 +284,12 @@ class ShardWorker {
 
   void Loop();
   void Process(const ShardJob& job);
-  // Delivers `response` through the job's claim; on a win, records
-  // latency and folds the outcome into the shard counters.
-  void FinishJob(const ShardJob& job, QueryResponse& response, double ms);
+  // Runs the GC policy if the job carries the owner's check, then
+  // delivers `response` through the job's claim; on a win, records the
+  // latency since `timer` started and folds the outcome into the shard
+  // counters.
+  void FinishJob(const ShardJob& job, QueryResponse& response,
+                 const Timer& timer);
   void Beat() { progress_.fetch_add(1, std::memory_order_relaxed); }
   // Compiles the request's plan, enforcing the compile budget/deadline
   // and running the degradation ladder: requested route first; on a
@@ -282,7 +304,11 @@ class ShardWorker {
                                       PlanRoute route, const Circuit& circuit,
                                       std::vector<int> vars,
                                       WorkBudget* budget);
-  double EvaluatePlan(const CompiledPlan& plan, const QueryRequest& request);
+  // The request's probability from the plan's flat copy; a weight
+  // outside [0, 1] fails typed instead of breaking the evaluator's
+  // normalization contract.
+  StatusOr<double> EvaluatePlan(const FlatDiagram& flat,
+                                const QueryRequest& request);
   ObddManager* ObddFor(const std::vector<int>& order);
   SddManager* SddFor(Vtree vtree);
   // Ceiling enforcement + resident-node accounting (see file comment).
@@ -320,19 +346,22 @@ class ShardWorker {
   // cache so everything releasing bytes into it is destroyed first.
   MemAccount account_;
 
-  // Worker-thread state (no locking: only the worker touches it). The
-  // pools are declared before the plan cache so the cache — whose
+  // Worker-thread state (no locking: only the worker touches it), except
+  // the plan cache, which carries its own lock for admission lookups.
+  // The pools are declared before the plan cache so the cache — whose
   // eviction callback releases root refs into the pooled managers — is
   // destroyed first.
   std::list<PooledObdd> obdd_pool_;
   std::list<PooledSdd> sdd_pool_;
   PlanCache plans_;
   uint64_t use_clock_ = 0;
-  int requests_since_gc_check_ = 0;
-  // Adaptive GC cadence (requests between policy checks): halved when a
-  // check reclaims nodes or finds a manager over its ceiling, doubled
+  // GC-check cadence, counted at admission (Admit) and adapted by the
+  // worker (RunGcPolicy), both under gc_mu_. The interval is halved when
+  // a check reclaims nodes or finds a manager over its ceiling, doubled
   // (up to 8x the configured interval) when a check finds nothing to do
   // — reclaim-rate feedback instead of a fixed period.
+  std::mutex gc_mu_;
+  int requests_since_gc_check_ = 0;
   int gc_interval_ = 1;
   uint64_t local_compiles_ = 0;
   uint64_t local_gc_runs_ = 0;

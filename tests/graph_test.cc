@@ -126,6 +126,75 @@ TEST(EliminationTest, HandlesDisconnectedGraphs) {
   EXPECT_TRUE(td.Validate(g).ok());
 }
 
+// Reference greedy order: every candidate's score recounted from scratch
+// at every step, fill by one edge lookup per neighbor pair.
+std::vector<int> NaiveGreedyOrder(const Graph& graph,
+                                  EliminationHeuristic heuristic, Rng* rng) {
+  Graph g = graph;
+  const int n = g.num_vertices();
+  std::vector<bool> eliminated(n, false);
+  std::vector<int> order;
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    long best_score = 0;
+    int num_tied = 0;
+    for (int v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      long score = g.Degree(v);
+      if (heuristic == EliminationHeuristic::kMinFill) {
+        const std::vector<int> nbrs(g.Neighbors(v).begin(),
+                                    g.Neighbors(v).end());
+        score = 0;
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          for (size_t j = i + 1; j < nbrs.size(); ++j) {
+            score += g.HasEdge(nbrs[i], nbrs[j]) ? 0 : 1;
+          }
+        }
+      }
+      if (best < 0 || score < best_score) {
+        best_score = score;
+        best = v;
+        num_tied = 1;
+      } else if (score == best_score && rng != nullptr) {
+        ++num_tied;
+        if (rng->NextBelow(num_tied) == 0) best = v;
+      }
+    }
+    g.MakeNeighborsClique(best);
+    g.IsolateVertex(best);
+    eliminated[best] = true;
+    order.push_back(best);
+  }
+  return order;
+}
+
+// The cached, locally rescored min-fill must pick exactly the reference's
+// order — with and without random tie-breaking, which must also consume
+// the same Rng draws — because heuristic decompositions decide vtrees and
+// hence compiled diagram sizes.
+TEST(EliminationTest, GreedyOrdersMatchNaiveReference) {
+  Rng graphs(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = graphs.NextInt(1, 40);
+    const Graph g =
+        trial % 3 == 0
+            ? RandomPartialKTree(std::max(n, 6), 1 + trial % 4, 0.7, &graphs)
+            : RandomGraph(n, graphs.NextDouble() * 0.5, &graphs);
+    for (const auto heuristic : {EliminationHeuristic::kMinFill,
+                                 EliminationHeuristic::kMinDegree}) {
+      EXPECT_EQ(GreedyEliminationOrder(g, heuristic),
+                NaiveGreedyOrder(g, heuristic, nullptr))
+          << "trial " << trial;
+      Rng a(trial + 1);
+      Rng b(trial + 1);
+      EXPECT_EQ(GreedyEliminationOrder(g, heuristic, &a),
+                NaiveGreedyOrder(g, heuristic, &b))
+          << "trial " << trial << " (random ties)";
+      EXPECT_EQ(a.Next64(), b.Next64()) << "trial " << trial;
+    }
+  }
+}
+
 TEST(ExactTreewidthTest, KnownValues) {
   EXPECT_EQ(ExactTreewidth(PathGraph(8)).value(), 1);
   EXPECT_EQ(ExactTreewidth(CycleGraph(8)).value(), 2);

@@ -3,7 +3,9 @@
 // canonical, and QueryService answers correct probabilities with plan
 // caching, sharding, and GC under eviction pressure.
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -26,6 +28,7 @@
 #include "serve/signature.h"
 #include "util/budget.h"
 #include "util/fault_injection.h"
+#include "util/hashing.h"
 #include "util/mem_governor.h"
 #include "util/random.h"
 
@@ -1278,6 +1281,211 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
             (options.num_shards + stats.supervision.shard_restarts) *
                 static_cast<uint64_t>(per_worker_bound));
+}
+
+// --- Hits served by any idle shard ---------------------------------------
+
+// The shard a (query, database) pair belongs to, as admission computes it.
+size_t OwnerShard(const Ucq& query, const Database& db, size_t num_shards) {
+  return static_cast<size_t>(Hash2(QuerySignature(query),
+                                   DatabaseSignature(db))) %
+         num_shards;
+}
+
+// Distinct queries over an R/S/T database of `domain` constants.
+std::vector<Ucq> QueryPool(int domain) {
+  std::vector<Ucq> pool = {HierarchicalRSQuery(), InequalityExampleQuery(),
+                           NonHierarchicalH0Query()};
+  for (int c = 1; c <= domain; ++c) {
+    pool.push_back(PerConstantRsQuery(c));
+    for (int d = c + 1; d <= domain; ++d) {
+      Ucq two = PerConstantRsQuery(c);
+      two.disjuncts.push_back(PerConstantRsQuery(d).disjuncts[0]);
+      pool.push_back(std::move(two));
+    }
+  }
+  return pool;
+}
+
+// A hit must not queue behind its owner's compile: with the owner
+// stalled inside a job, a hit on another of its cached plans is answered
+// exactly by a different shard before the stall ends.
+TEST(QueryServiceHitDispatchTest, HitBypassesAStalledOwner) {
+  if (!fault::Enabled()) GTEST_SKIP() << "fault sites compiled out";
+  const Database db = BipartiteRstDatabase(5, 0.35);
+  ServeOptions options;
+  options.num_shards = 2;
+  QueryService service(options);
+  // Three plans with one owner: `warm` is cached first, `cold` then
+  // stalls the owner, and `warm` is asked again meanwhile.
+  const std::vector<Ucq> pool = QueryPool(5);
+  const size_t owner = OwnerShard(pool[0], db, 2);
+  std::vector<Ucq> same_owner;
+  for (const Ucq& query : pool) {
+    if (same_owner.size() < 2 && OwnerShard(query, db, 2) == owner) {
+      same_owner.push_back(query);
+    }
+  }
+  ASSERT_EQ(same_owner.size(), 2u);
+  QueryRequest warm;
+  warm.query = same_owner[0];
+  warm.db = &db;
+  warm.route = PlanRoute::kSdd;
+  ASSERT_TRUE(service.Execute(warm).status.ok());
+  QueryRequest cold = warm;
+  cold.query = same_owner[1];
+
+  fault::FaultSpec stall;
+  stall.fire_at = 1;  // the next job to start stalls: the cold compile
+  stall.delay_ms = 1500;
+  fault::Arm("serve.shard.process", stall);
+  std::atomic<bool> cold_done{false};
+  QueryResponse cold_response;
+  std::thread stalled([&] {
+    cold_response = service.Execute(cold);
+    cold_done = true;
+  });
+  while (fault::FireCount("serve.shard.process") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  warm.weights.assign(db.num_tuples(), 0.8);
+  const QueryResponse hit = service.Execute(warm);
+  const bool answered_during_stall = !cold_done.load();
+  stalled.join();
+  fault::DisarmAll();
+
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_TRUE(hit.plan_cache_hit);
+  EXPECT_NE(hit.shard, static_cast<int>(owner));
+  EXPECT_TRUE(answered_during_stall);
+  const auto reweighted = CompileQuery(warm.query, BipartiteRstDatabase(5, 0.8),
+                                       VtreeStrategy::kBalanced);
+  ASSERT_TRUE(reweighted.ok()) << reweighted.status().ToString();
+  EXPECT_NEAR(hit.probability, reweighted->probability, 1e-9);
+  ASSERT_TRUE(cold_response.status.ok()) << cold_response.status.ToString();
+  EXPECT_EQ(cold_response.shard, static_cast<int>(owner));
+  const auto oracle = CompileQuery(cold.query, db, VtreeStrategy::kBalanced);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_NEAR(cold_response.probability, oracle->probability, 1e-9);
+}
+
+// Hits run on any shard while their owners evict plans and collect the
+// nodes under them: a one- or two-plan cache and a tiny live-node
+// ceiling turn plans over constantly under concurrent clients, and every
+// answer — carried by a flat copy that outlives eviction — stays exact.
+TEST(QueryServiceHitDispatchTest, HitsStayExactAcrossOwnerEvictionAndGc) {
+  const int kDomain = 5;
+  const Database db = BipartiteRstDatabase(kDomain, 0.3);
+  std::vector<Ucq> queries = {HierarchicalRSQuery(), InequalityExampleQuery()};
+  for (int c = 1; c <= kDomain; ++c) queries.push_back(PerConstantRsQuery(c));
+  std::vector<double> oracle;
+  for (const Ucq& query : queries) {
+    const auto compiled = CompileQuery(query, db, VtreeStrategy::kBalanced);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    oracle.push_back(compiled->probability);
+  }
+  for (const size_t capacity : {1u, 2u}) {
+    ServeOptions options;
+    options.num_shards = 3;
+    options.plan_cache_capacity = capacity;
+    options.gc_live_node_ceiling = 64;
+    options.gc_check_interval = 2;
+    QueryService service(options);
+    constexpr int kClients = 3;
+    constexpr int kRequests = 150;
+    std::vector<int> wrong(kClients, 0);
+    std::vector<int> failed(kClients, 0);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Rng rng(100 + c + 10 * capacity);
+        for (int i = 0; i < kRequests; ++i) {
+          // Runs of repeats make hits; switching plans makes evictions.
+          const size_t q = (i / 3 + c) % queries.size();
+          QueryRequest request;
+          request.query = queries[q];
+          request.db = &db;
+          request.route = rng.NextBool() ? PlanRoute::kObdd : PlanRoute::kSdd;
+          const QueryResponse response = service.Execute(request);
+          if (!response.status.ok()) {
+            ++failed[c];
+          } else if (std::abs(response.probability - oracle[q]) > 1e-9) {
+            ++wrong[c];
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(failed[c], 0) << "client " << c << ", capacity " << capacity;
+      EXPECT_EQ(wrong[c], 0) << "client " << c << ", capacity " << capacity;
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.totals.requests,
+              static_cast<uint64_t>(kClients * kRequests));
+    EXPECT_GT(stats.totals.plan_hits, 0u);
+    EXPECT_GT(stats.totals.plan_evictions, 0u);
+    EXPECT_GT(stats.totals.gc_runs, 0u);
+    EXPECT_EQ(stats.totals.plan_hits + stats.totals.plan_misses,
+              stats.totals.requests);
+  }
+}
+
+// A restarted shard starts with an empty plan cache, and admission only
+// ever consults the live worker: the dead worker's plans are never
+// served again, while other shards' plans keep hitting.
+TEST(QueryServiceHitDispatchTest, RestartedShardsOldPlansAreNotServed) {
+  if (!fault::Enabled()) GTEST_SKIP() << "fault sites compiled out";
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 2;
+  options.heartbeat_window_ms = 10;
+  QueryService service(options);
+  // One plan per shard.
+  std::vector<QueryRequest> plans(2);
+  for (const Ucq& query : QueryPool(4)) {
+    const size_t owner = OwnerShard(query, db, 2);
+    if (plans[owner].db != nullptr) continue;
+    plans[owner].query = query;
+    plans[owner].db = &db;
+    plans[owner].route = PlanRoute::kSdd;
+  }
+  ASSERT_NE(plans[0].db, nullptr);
+  ASSERT_NE(plans[1].db, nullptr);
+  std::vector<QueryResponse> before;
+  for (const QueryRequest& request : plans) {
+    before.push_back(service.Execute(request));
+    ASSERT_TRUE(before.back().status.ok());
+    ASSERT_TRUE(service.Execute(request).plan_cache_hit);
+  }
+
+  // The next shard to take a job dies: the owner of plans[0] when it is
+  // idle, which it almost always is, else the shard the hit went to. The
+  // supervisor restarts whichever shard it was.
+  fault::FaultSpec death;
+  death.fire_at = 1;
+  death.action = [] { ShardWorker::RequestDeathOnCurrentThread(); };
+  fault::Arm("serve.shard.death", death);
+  const QueryResponse abandoned = service.Execute(plans[0]);
+  fault::DisarmAll();
+  EXPECT_EQ(abandoned.status.code(), StatusCode::kUnavailable)
+      << abandoned.status.ToString();
+  ASSERT_TRUE(abandoned.shard == 0 || abandoned.shard == 1);
+  EXPECT_GE(service.stats().supervision.shard_restarts, 1u);
+  const int dead = abandoned.shard;
+  const int alive = 1 - dead;
+
+  const uint64_t compiles = service.stats().totals.compiles;
+  const QueryResponse recompiled = service.Execute(plans[dead]);
+  ASSERT_TRUE(recompiled.status.ok()) << recompiled.status.ToString();
+  EXPECT_FALSE(recompiled.plan_cache_hit);
+  EXPECT_EQ(recompiled.probability, before[dead].probability);
+  EXPECT_EQ(service.stats().totals.compiles, compiles + 1);
+  // The surviving shard's plan was untouched.
+  const QueryResponse survivor = service.Execute(plans[alive]);
+  ASSERT_TRUE(survivor.status.ok());
+  EXPECT_TRUE(survivor.plan_cache_hit);
+  EXPECT_EQ(survivor.probability, before[alive].probability);
 }
 
 }  // namespace
