@@ -1315,27 +1315,35 @@ int main(int argc, char** argv) {
 
   // --- Linger: keep a debug-served instance alive for external scrapes ----
   // CI's smoke-scrape job backgrounds `bench_serve --debug_port=P
-  // --linger_secs=N` and curls the endpoints; light background load keeps
-  // /plansz populated and gives /profilez something to sample.
+  // --linger_secs=N`, waits for the "debug server on" line and curls the
+  // endpoints. A warm-up caches plans before that line, and load runs
+  // only while /profilez captures: the other pages read an idle service
+  // and must agree with each other, and /profilez has CPU to sample.
   if (linger_secs > 0) {
     bench::Header("serve: lingering for external scrapes");
     ServeOptions lingering = bounded;
     lingering.num_shards = 2;
     lingering.debug_port = debug_port >= 0 ? debug_port : 0;
     QueryService service(lingering);
+    const auto random_request = [&](Rng& rng) {
+      QueryRequest request;
+      request.query = shapes[rng.NextBelow(normal_shapes)];
+      request.db = &steady_db;
+      request.route = rng.NextBool(0.5) ? PlanRoute::kObdd : PlanRoute::kSdd;
+      return request;
+    };
+    Rng warm_rng(555);
+    for (size_t i = 0; i < 4 * normal_shapes; ++i) {
+      (void)service.Execute(random_request(warm_rng));
+    }
     std::printf("  debug server on 127.0.0.1:%d for %d s\n",
                 service.debug_port(), linger_secs);
     std::fflush(stdout);
     std::atomic<bool> stop{false};
     std::thread load([&] {
-      Rng rng(555);
+      Rng rng(556);
       while (!stop.load(std::memory_order_relaxed)) {
-        QueryRequest request;
-        request.query = shapes[rng.NextBelow(normal_shapes)];
-        request.db = &steady_db;
-        request.route =
-            rng.NextBool(0.5) ? PlanRoute::kObdd : PlanRoute::kSdd;
-        (void)service.Execute(request);
+        if (obs::Profiler::armed()) (void)service.Execute(random_request(rng));
         // Fast enough cadence that an external /profilez scrape has CPU
         // to sample, slow enough to leave the box responsive.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

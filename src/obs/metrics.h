@@ -4,8 +4,7 @@
 // Recording is wait-free relaxed atomics — a histogram Record is one
 // bucket fetch_add plus count/sum/min/max updates, safe from any thread
 // with no lock and no sampling window, so percentiles never drop
-// samples under load (the defect in the sliding-window recorder this
-// replaces). Histograms are value-exact below 2^(kSubBits+1) and keep
+// samples under load. Histograms are value-exact below 2^(kSubBits+1) and keep
 // <= 1/32 relative bucket width above it, and merge losslessly
 // (bucket-wise adds), so per-shard or per-phase histograms can be
 // combined without re-recording.

@@ -37,6 +37,7 @@
 #include "obdd/obdd.h"
 #include "sdd/sdd.h"
 #include "serve/plan_stats.h"
+#include "serve/serve_stats.h"
 #include "util/flat_diagram.h"
 #include "util/hashing.h"
 #include "util/mem_governor.h"
@@ -113,11 +114,18 @@ class PlanCache {
 
   // Capacity 0 is clamped to 1: Insert must return a resident plan for
   // the request being served, so "cache nothing" still holds the newest
-  // entry (and silently-unbounded would defeat the subsystem).
-  PlanCache(size_t capacity, EvictFn on_evict)
+  // entry (and silently-unbounded would defeat the subsystem). Hits,
+  // misses and evictions are counted on `counters` (may be null).
+  PlanCache(size_t capacity, EvictFn on_evict,
+            const ServeCounters* counters = nullptr)
       : capacity_(capacity == 0 ? 1 : capacity),
-        on_evict_(std::move(on_evict)) {}
-  ~PlanCache() { EraseIf([](const CompiledPlan&) { return true; }); }
+        on_evict_(std::move(on_evict)),
+        counters_(counters) {}
+  ~PlanCache() {
+    // Teardown drops the plans without counting them as evictions.
+    counters_ = nullptr;
+    EraseIf([](const CompiledPlan&) { return true; });
+  }
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -140,10 +148,10 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
+      if (counters_ != nullptr) counters_->plan_misses->Add();
       return nullptr;
     }
-    ++hits_;
+    if (counters_ != nullptr) counters_->plan_hits->Add();
     entries_.splice(entries_.begin(), entries_, it->second);
     return &entries_.front().second;
   }
@@ -157,7 +165,7 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end()) return false;
-    ++hits_;
+    if (counters_ != nullptr) counters_->plan_hits->Add();
     entries_.splice(entries_.begin(), entries_, it->second);
     on_hit(static_cast<const CompiledPlan&>(entries_.front().second));
     return true;
@@ -228,18 +236,6 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
   }
-  uint64_t hits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-  }
-  uint64_t misses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-  }
-  uint64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-  }
 
  private:
   using Entries = std::list<std::pair<PlanKey, CompiledPlan>>;
@@ -260,7 +256,7 @@ class PlanCache {
     if (on_evict_) on_evict_(it->first, it->second);
     ChargeEntry(it->second, -1);
     index_.erase(it->first);
-    ++evictions_;
+    if (counters_ != nullptr) counters_->plan_evictions->Add();
     return entries_.erase(it);
   }
 
@@ -280,15 +276,13 @@ class PlanCache {
   mutable std::mutex mu_;
   size_t capacity_;
   EvictFn on_evict_;
+  const ServeCounters* counters_;
   MemAccount* account_ = nullptr;
   size_t charged_bytes_ = 0;
   // MRU-first entry list + key index (classic LRU layout; list iterators
   // stay valid across splice, so the index never goes stale).
   Entries entries_;
   std::unordered_map<PlanKey, Entries::iterator, PlanKeyHash> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace ctsdd

@@ -21,7 +21,8 @@
 // must survive shard restarts, otherwise every restart would reset the
 // strike count and a supervisor-heavy chaos stream would re-pay
 // `threshold` compiles per restart. All methods are thread-safe (one
-// mutex; admission is a hash-map probe).
+// mutex; admission is a hash-map probe). Rejects, strikes and paroles are
+// counted on the service's shared ServeCounters.
 
 #ifndef CTSDD_SERVE_QUARANTINE_H_
 #define CTSDD_SERVE_QUARANTINE_H_
@@ -32,6 +33,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "serve/serve_stats.h"
 #include "util/hashing.h"
 
 namespace ctsdd {
@@ -48,17 +50,10 @@ class Quarantine {
     double trial_timeout_ms = 10000;
   };
 
-  struct Counters {
-    uint64_t rejects = 0;
-    uint64_t strikes = 0;
-    uint64_t parole_trials = 0;
-    uint64_t parole_successes = 0;
-    size_t entries = 0;
-  };
-
   enum class Admission { kAdmit, kTrial, kReject };
 
-  explicit Quarantine(Options options) : options_(options) {}
+  Quarantine(Options options, const ServeCounters* counters)
+      : options_(options), counters_(counters) {}
 
   bool enabled() const { return options_.threshold > 0; }
 
@@ -80,7 +75,7 @@ class Quarantine {
     if (e.strikes < options_.threshold) return Admission::kAdmit;
     if (e.trial_in_flight &&
         SinceMs(e.trial_started, now) < options_.trial_timeout_ms) {
-      ++counters_.rejects;
+      counters_->quarantine_rejects->Add();
       if (retry_after_ms != nullptr) {
         *retry_after_ms = options_.parole_ms;
       }
@@ -89,10 +84,10 @@ class Quarantine {
     if (now >= e.parole_until) {
       e.trial_in_flight = true;
       e.trial_started = now;
-      ++counters_.parole_trials;
+      counters_->parole_trials->Add();
       return Admission::kTrial;
     }
-    ++counters_.rejects;
+    counters_->quarantine_rejects->Add();
     if (retry_after_ms != nullptr) {
       *retry_after_ms = std::max(
           0.1, std::chrono::duration<double, std::milli>(e.parole_until - now)
@@ -105,9 +100,9 @@ class Quarantine {
   // the signature is quarantined and not due for parole, so a job that
   // was admitted before its signature crossed the threshold (or that
   // survived a shard restart) still cannot buy poison a fresh compile.
-  // Unlike Admit, never starts a parole trial, and does not count into
-  // the reject counter (the worker folds the failure into its own
-  // counters; counting here too would double-book the request).
+  // Unlike Admit, never starts a parole trial, and does not count a
+  // reject (the worker counts the failed request; counting here too would
+  // double-book it).
   bool Rejects(uint64_t query_sig, uint64_t db_sig,
                std::chrono::steady_clock::time_point now) const {
     if (!enabled()) return false;
@@ -138,7 +133,7 @@ class Quarantine {
     }
     Entry& e = it->second;
     Decay(e, now);
-    ++counters_.strikes;
+    counters_->quarantine_strikes->Add();
     e.last_strike = now;
     if (e.trial_in_flight) {
       // Failed parole: back off exponentially.
@@ -168,15 +163,14 @@ class Quarantine {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(Hash2(query_sig, db_sig));
     if (it == map_.end()) return;
-    if (it->second.trial_in_flight) ++counters_.parole_successes;
+    if (it->second.trial_in_flight) counters_->parole_successes->Add();
     map_.erase(it);
   }
 
-  Counters counters() const {
+  // Signatures currently tracked (struck or quarantined).
+  size_t entries() const {
     std::lock_guard<std::mutex> lock(mu_);
-    Counters out = counters_;
-    out.entries = map_.size();
-    return out;
+    return map_.size();
   }
 
  private:
@@ -224,9 +218,9 @@ class Quarantine {
   }
 
   const Options options_;
+  const ServeCounters* const counters_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Entry> map_;
-  Counters counters_;
 };
 
 }  // namespace ctsdd

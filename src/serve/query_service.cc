@@ -106,6 +106,7 @@ QueryService::QueryService(ServeOptions options)
                      ? std::make_unique<exec::TaskPool>(options.exec_workers)
                      : nullptr),
       metrics_(std::make_unique<obs::MetricsRegistry>()),
+      counters_(metrics_.get()),
       flight_(std::make_unique<obs::FlightRecorder>(
           obs::FlightRecorder::Options{options.flight_recorder_capacity,
                                        options.flight_dump_dir,
@@ -114,8 +115,8 @@ QueryService::QueryService(ServeOptions options)
           options.quarantine_threshold, options.quarantine_parole_ms,
           options.quarantine_parole_max_ms, options.quarantine_capacity,
           /*trial_timeout_ms=*/std::max(10000.0,
-                                        4 * options.quarantine_parole_ms)})),
-      sup_counters_(std::make_unique<SupervisionCounters>()) {
+                                        4 * options.quarantine_parole_ms)},
+          &counters_)) {
   CTSDD_CHECK_GT(options_.num_shards, 0);
   start_time_ = std::chrono::steady_clock::now();
   // Histograms before any shard exists: MakeWorker hands each worker the
@@ -144,7 +145,7 @@ QueryService::QueryService(ServeOptions options)
   }
   if (options_.heartbeat_window_ms > 0) {
     supervisor_ = std::make_unique<Supervisor>(
-        options_, &slots_, sup_counters_.get(), flight_.get(),
+        options_, &slots_, &counters_, flight_.get(),
         [this](int shard_id) { return MakeWorker(shard_id); });
   }
   if (options_.debug_port >= 0) StartDebugServer();
@@ -160,8 +161,7 @@ QueryService::~QueryService() {
 std::shared_ptr<ShardWorker> QueryService::MakeWorker(int shard_id) {
   return std::make_shared<ShardWorker>(
       shard_id, options_, latency_us_, gc_pause_us_, flight_.get(),
-      exec_pool_.get(), quarantine_.get(), sup_counters_.get(),
-      plan_stats_.get());
+      exec_pool_.get(), quarantine_.get(), &counters_, plan_stats_.get());
 }
 
 void QueryService::StartDebugServer() {
@@ -230,7 +230,7 @@ void QueryService::StartDebugServer() {
     j.Str("status", healthy ? "ok" : "unhealthy");
     j.Num("hung_shards", hung);
     j.Num("exited_shards", exited);
-    j.Num("quarantine_entries", quarantine_->counters().entries);
+    j.Num("quarantine_entries", quarantine_->entries());
     j.Raw("shards", shards.s);
     j.Close('}');
     Response r;
@@ -478,7 +478,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     const QueryRequest& request = requests[i];
     if (request.db == nullptr) {
       responses[i].status = Status::InvalidArgument("request without database");
-      rejected_requests_.fetch_add(1, std::memory_order_relaxed);
+      counters_.CountFailedRequest();
       obs::FlightRecord rec;
       rec.status_code = static_cast<int>(StatusCode::kInvalidArgument);
       flight_->Record(rec);
@@ -502,6 +502,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         responses[i].status = Status::ResourceExhausted(
             "query signature quarantined; retry after parole");
         responses[i].retry_after_ms = parole_hint;
+        counters_.CountFailedRequest();
+        counters_.rejected_quarantine->Add();
         obs::FlightRecord rec;
         rec.query_sig = key.query_sig;
         rec.db_sig = key.db_sig;
@@ -566,7 +568,11 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     double retry_after_ms = 0;
     if (!worker->Submit(job, &retry_after_ms)) {
       // Admission control shed the job: fail it typed, with a backoff
-      // hint, instead of queueing without bound.
+      // hint, instead of queueing without bound. A shed GC check moves to
+      // the owner's next admission (only the owner takes one).
+      if (job.gc_check) worker->RearmGcCheck();
+      counters_.sheds->Add();
+      counters_.CountFailedRequest();
       responses[i].status =
           Status::Unavailable("shard queue full; retry later");
       responses[i].shard = static_cast<int>(target);
@@ -593,35 +599,23 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
 ServiceStats QueryService::stats() const {
   ServiceStats out;
   out.num_shards = static_cast<int>(slots_.size());
+  counters_.Read(&out);
+  // Gauges come from the current workers only: a restarted worker's
+  // plans and nodes are gone with it.
+  ShardStats& t = out.totals;
   for (const auto& slot : slots_) {
-    AccumulateShardStats(out.totals, slot->Get()->stats());
+    const ShardStats s = slot->Get()->stats();
+    t.max_retry_hint_ms = std::max(t.max_retry_hint_ms, s.max_retry_hint_ms);
+    t.mem_bytes += s.mem_bytes;
+    for (size_t l = 0; l < s.mem_bytes_by_layer.size(); ++l) {
+      t.mem_bytes_by_layer[l] += s.mem_bytes_by_layer[l];
+    }
+    t.live_nodes += s.live_nodes;
+    t.peak_live_nodes += s.peak_live_nodes;
+    t.plan_cache_size += s.plan_cache_size;
   }
-  // Workers retired by supervisor restarts keep their history.
-  if (supervisor_ != nullptr) supervisor_->AddRetiredStats(&out.totals);
-  out.supervision = sup_counters_->Snapshot();
-  const Quarantine::Counters q = quarantine_->counters();
-  out.supervision.quarantine_rejects = q.rejects;
-  out.supervision.quarantine_strikes = q.strikes;
-  out.supervision.parole_trials = q.parole_trials;
-  out.supervision.parole_successes = q.parole_successes;
-  out.supervision.quarantine_entries = q.entries;
-  const uint64_t rejected =
-      rejected_requests_.load(std::memory_order_relaxed);
-  // Requests answered outside any worker — invalid-argument rejects,
-  // admission sheds, quarantine rejects, and supervisor restart
-  // failures — never reach a worker's counters; fold them in so
-  // monitoring sees them as traffic + failures.
-  const uint64_t outside = rejected + out.totals.sheds +
-                           out.supervision.quarantine_rejects +
-                           out.supervision.failed_on_restart;
-  out.totals.requests += outside;
-  out.totals.failures += outside;
+  out.supervision.quarantine_entries = quarantine_->entries();
   out.governor = SnapshotGovernor(options_.mem_governor);
-  // RESOURCE_EXHAUSTED by cause. The populations are disjoint: memory
-  // trips never strike quarantine (see CompilePlan), quarantine rejects
-  // never touch the governor.
-  out.rejected_quarantine = q.rejects;
-  out.rejected_memory = out.totals.mem_rejects + out.totals.mem_aborts;
   out.p50_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.50)) / 1e3;
   out.p95_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.95)) / 1e3;
   out.p99_ms = static_cast<double>(latency_us_->ValueAtPercentile(0.99)) / 1e3;
@@ -637,34 +631,6 @@ void QueryService::PublishMetrics() {
   const auto set = [&](const char* name, uint64_t v) {
     metrics_->GetCounter(name)->Set(v);
   };
-  set("serve.requests", s.totals.requests);
-  set("serve.failures", s.totals.failures);
-  set("serve.timeouts", s.totals.timeouts);
-  set("serve.sheds", s.totals.sheds);
-  set("serve.fallbacks", s.totals.fallbacks);
-  set("serve.budget_aborts", s.totals.budget_aborts);
-  set("serve.duplicate_skips", s.totals.duplicate_skips);
-  set("serve.compiles", s.totals.compiles);
-  set("serve.rejected_memory", s.rejected_memory);
-  set("serve.rejected_quarantine", s.rejected_quarantine);
-  set("plan_cache.hits", s.totals.plan_hits);
-  set("plan_cache.misses", s.totals.plan_misses);
-  set("plan_cache.evictions", s.totals.plan_evictions);
-  set("plan_cache.targeted_evictions", s.totals.targeted_evictions);
-  set("plan_cache.manager_evictions", s.totals.manager_evictions);
-  set("gc.runs", s.totals.gc_runs);
-  set("gc.reclaimed_nodes", s.totals.gc_reclaimed);
-  set("supervision.hangs_detected", s.supervision.hangs_detected);
-  set("supervision.deaths_detected", s.supervision.deaths_detected);
-  set("supervision.shard_restarts", s.supervision.shard_restarts);
-  set("supervision.failed_on_restart", s.supervision.failed_on_restart);
-  set("supervision.hedges_dispatched", s.supervision.hedges_dispatched);
-  set("supervision.hedge_wins", s.supervision.hedge_wins);
-  set("supervision.hedge_cancels", s.supervision.hedge_cancels);
-  set("quarantine.rejects", s.supervision.quarantine_rejects);
-  set("quarantine.strikes", s.supervision.quarantine_strikes);
-  set("quarantine.parole_trials", s.supervision.parole_trials);
-  set("quarantine.parole_successes", s.supervision.parole_successes);
   set("governor.admit_denials", s.governor.admit_denials);
   set("governor.optional_growth_denials", s.governor.optional_growth_denials);
   set("governor.compile_cancels", s.governor.compile_cancels);

@@ -22,7 +22,6 @@
 #ifndef CTSDD_SERVE_QUERY_SERVICE_H_
 #define CTSDD_SERVE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -113,8 +112,9 @@ class QueryService {
   // records plus anomaly/dump counters, for tests and embedders.
   obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
 
-  // The unified metrics registry, refreshed from the current counters on
-  // each call. JSON is a stable flat object; Prometheus is a text
+  // The unified metrics registry. Serve counters are bumped in it where
+  // they happen; each call refreshes the gauges and the values owned
+  // outside serve/. JSON is a stable flat object; Prometheus is a text
   // exposition. Both include the latency/GC histograms.
   std::string MetricsJson();
   std::string MetricsPrometheus();
@@ -140,8 +140,9 @@ class QueryService {
   std::shared_ptr<ShardWorker> MakeWorker(int shard_id);
   void StartDebugServer();
 
-  // Folds the live ServiceStats + flight-recorder counters into the
-  // registry (histograms are recorded in place by the shards).
+  // Sets the registry's gauges from the current workers, and its
+  // flight, governor, exec, tracer, profiler and debug-server values
+  // from their owners.
   void PublishMetrics();
 
   ServeOptions options_;
@@ -149,10 +150,12 @@ class QueryService {
   // (null when options_.exec_workers <= 1). Declared before the shards
   // so it outlives every manager that borrowed it.
   std::unique_ptr<exec::TaskPool> exec_pool_;
-  // Unified metrics registry; latency_us_/gc_pause_us_ are its shared
-  // histograms (microsecond samples, recorded by every shard). flight_
-  // is the bounded ring of recent request records with anomaly dumps.
+  // Unified metrics registry; counters_ are its serve counter handles and
+  // latency_us_/gc_pause_us_ its shared histograms (microsecond samples,
+  // recorded by every shard). flight_ is the bounded ring of recent
+  // request records with anomaly dumps.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  const ServeCounters counters_;
   obs::Histogram* latency_us_ = nullptr;
   obs::Histogram* gc_pause_us_ = nullptr;
   std::unique_ptr<obs::FlightRecorder> flight_;
@@ -161,8 +164,6 @@ class QueryService {
   // or every restart would buy a poisonous signature `threshold` more
   // ladder compiles.
   std::unique_ptr<Quarantine> quarantine_;
-  // Shared atomics behind ServiceStats::supervision.
-  std::unique_ptr<SupervisionCounters> sup_counters_;
   // Per-plan telemetry registry. Declared after metrics_ (it holds
   // registry pointers) and before slots_ (workers publish into it and
   // merge on eviction — including the evictions their destructors run).
@@ -174,9 +175,6 @@ class QueryService {
   // Shard table: worker pointers swap under per-slot mutexes when the
   // supervisor restarts a shard.
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-  // Requests rejected before reaching any shard (e.g. null database);
-  // folded into stats() so monitoring sees them as traffic + failures.
-  std::atomic<uint64_t> rejected_requests_{0};
   // Declared after slots_: the supervisor's scan thread walks slots_, so
   // it must stop before any of the above is torn down.
   std::unique_ptr<Supervisor> supervisor_;

@@ -1,24 +1,24 @@
 // Configuration and observability surface of the query-serving subsystem.
 //
 // ServeOptions sizes the service (shards, per-shard plan cache and
-// manager pools, GC ceilings); ShardStats / ServiceStats report what a
-// long-running deployment watches: request and cache-hit counts, GC
-// reclaim, resident-node ceilings, and end-to-end latency percentiles.
-// Latency percentiles come from the service's obs::Histogram recorders
-// (src/obs/metrics.h): lossless log-linear histograms, so no sample is
-// ever dropped under load the way the old sliding-window reservoir
-// dropped them.
+// manager pools, GC ceilings). Every service-wide serve counter lives in
+// the service's obs::MetricsRegistry and nowhere else: ServeCounters
+// holds one handle per counter, and the worker, supervisor, quarantine or
+// admission code that sees an event bumps its counter there. ShardStats /
+// ServiceStats are a view filled from one read of those handles, plus
+// gauges (plan-cache occupancy, resident nodes, accounted bytes) read
+// from the current workers and latency percentiles from the service's
+// obs::Histogram recorders (src/obs/metrics.h).
 
 #ifndef CTSDD_SERVE_SERVE_STATS_H_
 #define CTSDD_SERVE_SERVE_STATS_H_
 
-#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
 #include "util/mem_governor.h"
 
 namespace ctsdd {
@@ -166,34 +166,10 @@ struct SupervisionStats {
   uint64_t quarantine_entries = 0;  // current negative-cache size
 };
 
-// The live atomics behind SupervisionStats' event counters: the
-// supervisor thread and shard workers both bump them; the quarantine
-// fields are filled from the Quarantine's own counters at snapshot time.
-struct SupervisionCounters {
-  std::atomic<uint64_t> hangs_detected{0};
-  std::atomic<uint64_t> deaths_detected{0};
-  std::atomic<uint64_t> shard_restarts{0};
-  std::atomic<uint64_t> failed_on_restart{0};
-  std::atomic<uint64_t> hedges_dispatched{0};
-  std::atomic<uint64_t> hedge_sheds{0};
-  std::atomic<uint64_t> hedge_wins{0};
-  std::atomic<uint64_t> hedge_cancels{0};
-
-  SupervisionStats Snapshot() const {
-    SupervisionStats out;
-    out.hangs_detected = hangs_detected.load(std::memory_order_relaxed);
-    out.deaths_detected = deaths_detected.load(std::memory_order_relaxed);
-    out.shard_restarts = shard_restarts.load(std::memory_order_relaxed);
-    out.failed_on_restart = failed_on_restart.load(std::memory_order_relaxed);
-    out.hedges_dispatched = hedges_dispatched.load(std::memory_order_relaxed);
-    out.hedge_sheds = hedge_sheds.load(std::memory_order_relaxed);
-    out.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
-    out.hedge_cancels = hedge_cancels.load(std::memory_order_relaxed);
-    return out;
-  }
-};
-
-// One shard's counters (a consistent snapshot taken between requests).
+// Serve counters and gauges. In ServiceStats::totals the counters are
+// the service-wide registry values and the gauges sum the current
+// workers. A per-shard row (ShardWorker::stats) fills only its worker's
+// own requests, failures, retry hint and gauges.
 struct ShardStats {
   uint64_t requests = 0;
   uint64_t failures = 0;
@@ -232,8 +208,8 @@ struct ShardStats {
   uint64_t mem_rejects = 0;
   uint64_t mem_aborts = 0;
   uint64_t pressure_evictions = 0;
-  // Accounted resident bytes of this shard (total and by layer),
-  // snapshotted from the shard's MemAccount at stats() time.
+  // Accounted resident bytes (total and by layer), read from the shard
+  // accounts at stats() time.
   uint64_t mem_bytes = 0;
   std::array<uint64_t, kMemLayerCount> mem_bytes_by_layer = {};
   int live_nodes = 0;       // resident nodes across the shard's managers
@@ -242,39 +218,6 @@ struct ShardStats {
   // not a monotone counter).
   uint64_t plan_cache_size = 0;
 };
-
-// Field-wise sum of shard counter snapshots (service totals over live
-// and retired workers). max_retry_hint_ms takes the max, not the sum.
-inline void AccumulateShardStats(ShardStats& into, const ShardStats& s) {
-  into.requests += s.requests;
-  into.failures += s.failures;
-  into.plan_hits += s.plan_hits;
-  into.plan_misses += s.plan_misses;
-  into.plan_evictions += s.plan_evictions;
-  into.targeted_evictions += s.targeted_evictions;
-  into.compiles += s.compiles;
-  into.gc_runs += s.gc_runs;
-  into.gc_reclaimed += s.gc_reclaimed;
-  into.manager_evictions += s.manager_evictions;
-  into.timeouts += s.timeouts;
-  into.sheds += s.sheds;
-  into.fallbacks += s.fallbacks;
-  into.budget_aborts += s.budget_aborts;
-  into.duplicate_skips += s.duplicate_skips;
-  into.max_retry_hint_ms =
-      std::max(into.max_retry_hint_ms, s.max_retry_hint_ms);
-  into.mem_rejects += s.mem_rejects;
-  into.mem_aborts += s.mem_aborts;
-  into.pressure_evictions += s.pressure_evictions;
-  into.mem_bytes += s.mem_bytes;
-  for (int l = 0; l < kMemLayerCount; ++l) {
-    into.mem_bytes_by_layer[static_cast<size_t>(l)] +=
-        s.mem_bytes_by_layer[static_cast<size_t>(l)];
-  }
-  into.live_nodes += s.live_nodes;
-  into.peak_live_nodes += s.peak_live_nodes;
-  into.plan_cache_size += s.plan_cache_size;
-}
 
 // Snapshot of the service's memory governor (all zero / disabled when no
 // hard watermark is configured).
@@ -315,9 +258,9 @@ inline MemGovernorStats SnapshotGovernor(const MemGovernor* gov) {
   return out;
 }
 
-// Aggregated service view (sums over shards + latency percentiles).
-// Shard totals include workers retired by supervisor restarts, so the
-// counters stay monotone across the life of the service.
+// The service view: registry counters, current-worker gauges and latency
+// percentiles. The counters outlive restarted workers, so they stay
+// monotone across the life of the service.
 struct ServiceStats {
   ShardStats totals;
   SupervisionStats supervision;
@@ -343,6 +286,58 @@ struct ServiceStats {
                : static_cast<double>(totals.plan_hits) /
                      static_cast<double>(lookups);
   }
+};
+
+// One handle per service-wide serve counter, fetched once from the
+// service's registry under the name /metrics exports. The service shares
+// one set with its workers, supervisor and quarantine; whoever sees an
+// event calls Add() on its handle. A new counter is one handle here, its
+// registry name in the constructor, and its field in Read.
+struct ServeCounters {
+  explicit ServeCounters(obs::MetricsRegistry* registry);
+
+  // Fills every counter field of `out` (totals, supervision, rejected_*).
+  void Read(ServiceStats* out) const;
+
+  // A request answered without reaching a worker (invalid argument,
+  // admission shed, quarantine reject, restart failure).
+  void CountFailedRequest() const {
+    requests->Add();
+    failures->Add();
+  }
+
+  obs::Counter* const requests;
+  obs::Counter* const failures;
+  obs::Counter* const timeouts;
+  obs::Counter* const sheds;
+  obs::Counter* const fallbacks;
+  obs::Counter* const budget_aborts;
+  obs::Counter* const duplicate_skips;
+  obs::Counter* const compiles;
+  obs::Counter* const mem_rejects;
+  obs::Counter* const mem_aborts;
+  obs::Counter* const rejected_memory;
+  obs::Counter* const rejected_quarantine;
+  obs::Counter* const plan_hits;
+  obs::Counter* const plan_misses;
+  obs::Counter* const plan_evictions;
+  obs::Counter* const targeted_evictions;
+  obs::Counter* const manager_evictions;
+  obs::Counter* const pressure_evictions;
+  obs::Counter* const gc_runs;
+  obs::Counter* const gc_reclaimed;
+  obs::Counter* const hangs_detected;
+  obs::Counter* const deaths_detected;
+  obs::Counter* const shard_restarts;
+  obs::Counter* const failed_on_restart;
+  obs::Counter* const hedges_dispatched;
+  obs::Counter* const hedge_sheds;
+  obs::Counter* const hedge_wins;
+  obs::Counter* const hedge_cancels;
+  obs::Counter* const quarantine_rejects;
+  obs::Counter* const quarantine_strikes;
+  obs::Counter* const parole_trials;
+  obs::Counter* const parole_successes;
 };
 
 }  // namespace ctsdd

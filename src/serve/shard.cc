@@ -38,7 +38,7 @@ void ShardWorker::TripActiveBudgetOnCurrentThread(StatusCode code) {
 ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
                          obs::Histogram* latency_us, obs::Histogram* gc_pause_us,
                          obs::FlightRecorder* flight, exec::TaskPool* exec_pool,
-                         Quarantine* quarantine, SupervisionCounters* sup,
+                         Quarantine* quarantine, const ServeCounters* counters,
                          PlanStatsRegistry* plan_stats)
     : id_(shard_id),
       options_(options),
@@ -47,7 +47,7 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
       flight_(flight),
       exec_pool_(exec_pool),
       quarantine_(quarantine),
-      sup_(sup),
+      counters_(counters),
       plan_stats_(plan_stats),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
@@ -63,7 +63,8 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
                if (plan_stats_ != nullptr && plan.stats != nullptr) {
                  plan_stats_->OnEviction(plan.stats);
                }
-             }),
+             },
+             counters),
       gc_interval_(std::max(1, options.gc_check_interval)),
       thread_(&ShardWorker::Loop, this) {
   // Safe after the worker thread started: no job can be submitted (and
@@ -97,10 +98,6 @@ bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
     }
     depth = queue_.size();
   }
-  // Hedge sheds are invisible to the shard's own counters: the primary
-  // copy is still in flight, so nothing was lost — the supervisor
-  // tracks them separately.
-  if (!job.is_hedge) sheds_.fetch_add(1, std::memory_order_relaxed);
   if (retry_after_ms != nullptr) {
     // Expected drain time of the queue ahead of a retry: depth jobs at
     // the smoothed per-request service time — clamped, because a deep
@@ -132,6 +129,12 @@ bool ShardWorker::Admit(const PlanKey& key, PlanHit* hit) {
   return true;
 }
 
+void ShardWorker::RearmGcCheck() {
+  std::lock_guard<std::mutex> lock(gc_mu_);
+  requests_since_gc_check_ =
+      std::max(requests_since_gc_check_, gc_interval_ - 1);
+}
+
 bool ShardWorker::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
   return !stopping_ && queue_.empty() && current_ == nullptr &&
@@ -140,19 +143,12 @@ bool ShardWorker::idle() const {
 
 ShardStats ShardWorker::stats() const {
   ShardStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  // Shed counts and retry hints are written on client threads at
-  // admission; fold them in here so they show even when the worker
-  // never published a snapshot.
-  out.sheds = sheds_.load(std::memory_order_relaxed);
+  out.requests = requests_.load(std::memory_order_relaxed);
+  out.failures = failures_.load(std::memory_order_relaxed);
   out.max_retry_hint_ms = max_retry_hint_.load(std::memory_order_relaxed);
-  // Hits are counted at admission on client threads, and other shards
-  // may answer them, so the cache counters are read live as well.
-  out.plan_hits = plans_.hits();
-  out.plan_misses = plans_.misses();
+  out.live_nodes = live_nodes_.load(std::memory_order_relaxed);
+  out.peak_live_nodes = peak_live_nodes_.load(std::memory_order_relaxed);
+  out.plan_cache_size = plans_.size();
   // Byte accounting reads straight from the shard account's atomics —
   // always current, even mid-compile.
   out.mem_bytes = account_.bytes();
@@ -243,8 +239,8 @@ void ShardWorker::Process(const ShardJob& job) {
   if (state.claimed.load(std::memory_order_acquire)) {
     // Another copy (hedge sibling or the supervisor) already answered.
     if (job.gc_check) RunGcPolicy();
-    ++local_duplicate_skips_;
-    UpdateStats();
+    counters_->duplicate_skips->Add();
+    PublishLiveNodes();
     return;
   }
   CTSDD_FAULT_POINT_COARSE("serve.shard.process");
@@ -325,7 +321,8 @@ void ShardWorker::Process(const ShardJob& job) {
     // run the shed ladder now — the reject alone frees nothing.
     if (options_.mem_governor != nullptr &&
         options_.mem_governor->tier() == MemGovernor::Tier::kCritical) {
-      ++local_mem_rejects_;
+      counters_->mem_rejects->Add();
+      counters_->rejected_memory->Add();
       if (flight_ != nullptr) {
         flight_->NoteAnomaly(obs::Anomaly::kMemoryDenial,
                              "shard " + std::to_string(id_) +
@@ -420,23 +417,21 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
   if (!job.state->TryClaim()) {
     // The computed result is discarded; the plan (if any) stays cached,
     // so the duplicate work still warms this shard.
-    ++local_duplicate_skips_;
-    UpdateStats();
+    counters_->duplicate_skips->Add();
+    PublishLiveNodes();
     return;
   }
-  const bool cancelled_other =
-      job.state->CancelLoserBudgets(StatusCode::kCancelled);
-  if (sup_ != nullptr) {
-    if (job.is_hedge) sup_->hedge_wins.fetch_add(1, std::memory_order_relaxed);
-    if (cancelled_other) {
-      sup_->hedge_cancels.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (job.is_hedge) counters_->hedge_wins->Add();
+  if (job.state->CancelLoserBudgets(StatusCode::kCancelled)) {
+    counters_->hedge_cancels->Add();
   }
-  ++local_requests_;
+  counters_->requests->Add();
+  requests_.fetch_add(1, std::memory_order_relaxed);
   if (!response.status.ok()) {
-    ++local_failures_;
+    counters_->failures->Add();
+    failures_.fetch_add(1, std::memory_order_relaxed);
     if (response.status.code() == StatusCode::kDeadlineExceeded) {
-      ++local_timeouts_;
+      counters_->timeouts->Add();
     }
   }
   latency_us_->Record(static_cast<uint64_t>(ms * 1000.0));
@@ -465,9 +460,9 @@ void ShardWorker::FinishJob(const ShardJob& job, QueryResponse& response,
   const double var = ewma_var_ms2_.load(std::memory_order_relaxed);
   ewma_var_ms2_.store(0.8 * var + 0.2 * dev * dev,
                       std::memory_order_relaxed);
-  // Publish counters before waking the submitter: a stats() call racing
-  // the batch's return must already see this request accounted for.
-  UpdateStats();
+  // Count before waking the submitter: a stats() call racing the batch's
+  // return must already see this request accounted for.
+  PublishLiveNodes();
   job.state->Publish(response);
 }
 
@@ -496,7 +491,7 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
   JobState& state = *job.state;
   const QueryRequest& request = state.request;
   const int side = job.is_hedge ? 1 : 0;
-  ++local_compiles_;
+  counters_->compiles->Add();
   last_compile_mem_pressure_ = false;
   obs::TraceSpan compile_span("compile", "compile", state.trace);
   if (compile_span.armed()) {
@@ -553,18 +548,9 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     s.exact_pathwidth = exact_pw;
   };
 
-  if (options_.compile_node_budget == 0 && !state.has_deadline &&
-      sup_ == nullptr && options_.mem_governor == nullptr) {
-    // Unbudgeted fast path: no budget attached, no abort branches taken.
-    // Under supervision the budgeted path runs even with unlimited
-    // limits — its lease pulse is what keeps a long compile's heartbeat
-    // alive (and gives the supervisor a cancel handle on restart).
-    auto fast = CompileRoute(request, request.route, circuit, std::move(vars),
-                             nullptr);
-    stamp(fast, 1);
-    return fast;
-  }
-
+  // Every compile runs budgeted, even with unlimited limits: the lease
+  // pulse keeps a long compile's heartbeat alive, and the budget is the
+  // handle that hedging, restarts and fault sites cancel.
   WorkBudget primary(options_.compile_node_budget, DeadlineLeftMs(state));
   primary.BindPulse(&progress_);
   if (obs::TraceArmed()) primary.SetTraceContext(obs::CurrentContext());
@@ -582,14 +568,15 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     // alternate route would hit the same process-wide ceiling, so the
     // caller sheds and backs the client off instead.
     if (!first.ok() && primary.memory_pressure()) {
-      ++local_mem_aborts_;
+      counters_->mem_aborts->Add();
+      counters_->rejected_memory->Add();
       last_compile_mem_pressure_ = true;
     }
     stamp(first, 1);
     return first;
   }
-  ++local_budget_aborts_;
-  ++local_fallbacks_;
+  counters_->budget_aborts->Add();
+  counters_->fallbacks->Add();
   WorkBudget fallback(options_.compile_node_budget, DeadlineLeftMs(state));
   fallback.BindPulse(&progress_);
   if (obs::TraceArmed()) fallback.SetTraceContext(obs::CurrentContext());
@@ -605,11 +592,12 @@ StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
     if (fallback.memory_pressure()) {
       // The fallback died at the memory ceiling, not on its node budget:
       // a process-state problem, not a poison signature — no strike.
-      ++local_mem_aborts_;
+      counters_->mem_aborts->Add();
+      counters_->rejected_memory->Add();
       last_compile_mem_pressure_ = true;
       return second;
     }
-    ++local_budget_aborts_;
+    counters_->budget_aborts->Add();
     // Both ladder routes exhausted their budgets: this signature is
     // poison for the current budget — strike it so repeats stop burning
     // full ladder compiles.
@@ -730,7 +718,7 @@ ObddManager* ShardWorker::ObddFor(const std::vector<int>& order) {
     plans_.EraseIf(
         [dying](const CompiledPlan& p) { return p.obdd == dying; });
     obdd_pool_.erase(victim);
-    ++local_manager_evictions_;
+    counters_->manager_evictions->Add();
   }
   obdd_pool_.push_back({order, std::make_unique<MemAccount>(&account_),
                         std::make_unique<ObddManager>(order), ++use_clock_});
@@ -758,7 +746,7 @@ SddManager* ShardWorker::SddFor(Vtree vtree) {
     SddManager* dying = victim->manager.get();
     plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
     sdd_pool_.erase(victim);
-    ++local_manager_evictions_;
+    counters_->manager_evictions->Add();
   }
   sdd_pool_.push_back({std::move(key), std::make_unique<MemAccount>(&account_),
                        std::make_unique<SddManager>(std::move(vtree)),
@@ -775,8 +763,8 @@ size_t ShardWorker::TimedGc(Manager* manager) {
   const double ms = timer.ElapsedMillis();
   gc_pause_us_->Record(static_cast<uint64_t>(ms * 1000.0));
   request_gc_ms_ += ms;
-  ++local_gc_runs_;
-  local_gc_reclaimed_ += reclaimed;
+  counters_->gc_runs->Add();
+  counters_->gc_reclaimed->Add(reclaimed);
   return reclaimed;
 }
 
@@ -810,7 +798,7 @@ bool ShardWorker::EvictLruManager() {
     plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
     sdd_pool_.erase(sdd_it);
   }
-  ++local_manager_evictions_;
+  counters_->manager_evictions->Add();
   return true;
 }
 
@@ -835,13 +823,13 @@ void ShardWorker::RunMemPressureLadder() {
     int evicted = 0;
     while (evicted < 8 && plans_.EvictOne()) ++evicted;
     if (evicted > 0) {
-      local_pressure_evictions_ += static_cast<uint64_t>(evicted);
+      counters_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
       for (PooledObdd& e : obdd_pool_) TimedGc(e.manager.get());
       for (PooledSdd& e : sdd_pool_) TimedGc(e.manager.get());
       continue;
     }
     if (!EvictLruManager()) break;  // nothing left to shed on this shard
-    ++local_pressure_evictions_;
+    counters_->pressure_evictions->Add();
   }
 }
 
@@ -866,7 +854,7 @@ void ShardWorker::RunGcPolicy() {
     };
     while (manager->NumLiveNodes() > options_.gc_live_node_ceiling &&
            plans_.EvictOneMatching(in_this_manager)) {
-      ++local_targeted_evictions_;
+      counters_->targeted_evictions->Add();
       reclaimed_this_check += TimedGc(manager);
     }
     // Return cache capacity sized up by the pre-GC workload to baseline
@@ -887,30 +875,14 @@ void ShardWorker::RunGcPolicy() {
   }
 }
 
-void ShardWorker::UpdateStats() {
+void ShardWorker::PublishLiveNodes() {
   int live = 0;
   for (const PooledObdd& e : obdd_pool_) live += e.manager->NumLiveNodes();
   for (const PooledSdd& e : sdd_pool_) live += e.manager->NumLiveNodes();
-  local_peak_live_ = std::max(local_peak_live_, live);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.requests = local_requests_;
-  stats_.failures = local_failures_;
-  stats_.timeouts = local_timeouts_;
-  stats_.fallbacks = local_fallbacks_;
-  stats_.budget_aborts = local_budget_aborts_;
-  stats_.duplicate_skips = local_duplicate_skips_;
-  stats_.plan_evictions = plans_.evictions();
-  stats_.targeted_evictions = local_targeted_evictions_;
-  stats_.compiles = local_compiles_;
-  stats_.gc_runs = local_gc_runs_;
-  stats_.gc_reclaimed = local_gc_reclaimed_;
-  stats_.manager_evictions = local_manager_evictions_;
-  stats_.mem_rejects = local_mem_rejects_;
-  stats_.mem_aborts = local_mem_aborts_;
-  stats_.pressure_evictions = local_pressure_evictions_;
-  stats_.live_nodes = live;
-  stats_.peak_live_nodes = local_peak_live_;
-  stats_.plan_cache_size = plans_.size();
+  live_nodes_.store(live, std::memory_order_relaxed);
+  if (live > peak_live_nodes_.load(std::memory_order_relaxed)) {
+    peak_live_nodes_.store(live, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace ctsdd

@@ -170,9 +170,10 @@ class ShardWorker {
   // exec-managed parallel regions around their apply/compile operations.
   // `quarantine` (may be null) is the service-level poison negative
   // cache: workers re-check it before a cold compile and report compile
-  // outcomes into it. `sup` (may be null) carries the shared supervision
-  // counters (hedge wins/cancels). `latency_us` / `gc_pause_us` are the
-  // service's shared histograms (microsecond samples); `flight` (may be
+  // outcomes into it. `counters` is the service's registry counter set,
+  // which the worker bumps where each event happens and which outlives
+  // it. `latency_us` / `gc_pause_us` are the service's shared
+  // histograms (microsecond samples); `flight` (may be
   // null) is the service's flight recorder — the worker appends one
   // record per claim-winning completion and raises quarantine-strike /
   // memory-denial anomalies. `plan_stats` (may be null) is the service's
@@ -181,7 +182,7 @@ class ShardWorker {
   ShardWorker(int shard_id, const ServeOptions& options,
               obs::Histogram* latency_us, obs::Histogram* gc_pause_us,
               obs::FlightRecorder* flight, exec::TaskPool* exec_pool,
-              Quarantine* quarantine, SupervisionCounters* sup,
+              Quarantine* quarantine, const ServeCounters* counters,
               PlanStatsRegistry* plan_stats = nullptr);
   ~ShardWorker();  // drains the queue, joins the thread
 
@@ -192,9 +193,8 @@ class ShardWorker {
   // shedding the job — when the queue is at max_queue_depth or the
   // worker is retiring; the caller gets a backoff hint (queue depth x
   // smoothed service time, clamped to ServeOptions::retry_after_max_ms)
-  // in `*retry_after_ms` and must complete the response itself. Hedge
-  // sheds are not counted against the shard (the primary copy is still
-  // in flight).
+  // in `*retry_after_ms` and must complete (and count) the response
+  // itself.
   bool Submit(const ShardJob& job, double* retry_after_ms);
 
   // Admission against this shard as the request's owner (thread-safe):
@@ -204,11 +204,16 @@ class ShardWorker {
   // must then be submitted here with ShardJob::gc_check set.
   bool Admit(const PlanKey& key, PlanHit* hit);
 
+  // Hands the GC check of a request that Admit made due but Submit shed
+  // to this shard's next admission (thread-safe).
+  void RearmGcCheck();
+
   // True when the worker is running, holds no job and has none queued
   // (thread-safe): the shard a hit can go to without waiting.
   bool idle() const;
 
-  // Consistent snapshot of the shard's counters (thread-safe).
+  // This worker's row: the requests it answered, its retry hint and its
+  // gauges (thread-safe). Service-wide counters live in the registry.
   ShardStats stats() const;
 
   // The shard's memory account (root of its managers' and plan cache's
@@ -286,8 +291,7 @@ class ShardWorker {
   void Process(const ShardJob& job);
   // Runs the GC policy if the job carries the owner's check, then
   // delivers `response` through the job's claim; on a win, records the
-  // latency since `timer` started and folds the outcome into the shard
-  // counters.
+  // latency since `timer` started and counts the outcome.
   void FinishJob(const ShardJob& job, QueryResponse& response,
                  const Timer& timer);
   void Beat() { progress_.fetch_add(1, std::memory_order_relaxed); }
@@ -324,11 +328,13 @@ class ShardWorker {
   // LRU manager eviction across both pools (plans inside it first);
   // false when both pools are empty.
   bool EvictLruManager();
-  // GarbageCollect with the pause recorded into the service's GC
-  // latency reservoir and the shard's reclaim counters.
+  // GarbageCollect with the pause recorded into the service's GC pause
+  // histogram and the reclaim counted.
   template <typename Manager>
   size_t TimedGc(Manager* manager);
-  void UpdateStats();
+  // Stores the managers' resident-node total (and its peak) for readers
+  // on other threads; the managers themselves are single-threaded.
+  void PublishLiveNodes();
 
   const int id_;
   const ServeOptions options_;
@@ -337,7 +343,7 @@ class ShardWorker {
   obs::FlightRecorder* const flight_;  // shared, may be null
   exec::TaskPool* const exec_pool_;    // shared, may be null
   Quarantine* const quarantine_;       // shared, may be null
-  SupervisionCounters* const sup_;     // shared, may be null
+  const ServeCounters* const counters_;  // shared
   PlanStatsRegistry* const plan_stats_;  // shared, may be null
 
   // Shard memory account: parent of the per-manager accounts and the
@@ -363,25 +369,10 @@ class ShardWorker {
   std::mutex gc_mu_;
   int requests_since_gc_check_ = 0;
   int gc_interval_ = 1;
-  uint64_t local_compiles_ = 0;
-  uint64_t local_gc_runs_ = 0;
-  uint64_t local_gc_reclaimed_ = 0;
-  uint64_t local_manager_evictions_ = 0;
-  uint64_t local_targeted_evictions_ = 0;
-  uint64_t local_requests_ = 0;
-  uint64_t local_failures_ = 0;
-  uint64_t local_timeouts_ = 0;
-  uint64_t local_fallbacks_ = 0;
-  uint64_t local_budget_aborts_ = 0;
-  uint64_t local_duplicate_skips_ = 0;
-  uint64_t local_mem_rejects_ = 0;
-  uint64_t local_mem_aborts_ = 0;
-  uint64_t local_pressure_evictions_ = 0;
   // Set by CompilePlan when the compile it just ran was tripped by the
   // memory governor (worker-thread local; read by Process immediately
   // after the CompilePlan call).
   bool last_compile_mem_pressure_ = false;
-  int local_peak_live_ = 0;
   // Flight-record assembly for the request being processed (worker-
   // thread local): Process fills the identity and phase fields, TimedGc
   // accumulates pause time, FinishJob completes and appends it on a
@@ -398,18 +389,19 @@ class ShardWorker {
   // Squared-deviation EWMA of the same latency stream (same 0.8/0.2
   // smoothing), read by the supervisor for the adaptive hedge threshold.
   std::atomic<double> ewma_var_ms2_{0.0};
-  // Bumped by Submit (client threads) when admission sheds a job.
-  std::atomic<uint64_t> sheds_{0};
   // Largest post-clamp retry hint handed out (client threads; CAS max).
   std::atomic<double> max_retry_hint_{0};
+  // This worker's /statusz row: claim wins it answered and how many of
+  // them failed, and the resident nodes PublishLiveNodes last saw.
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> failures_{0};
+  std::atomic<int> live_nodes_{0};
+  std::atomic<int> peak_live_nodes_{0};
 
   // Supervision heartbeats (see accessors above).
   std::atomic<uint64_t> progress_{0};
   std::atomic<bool> busy_{false};
   std::atomic<bool> exited_{false};
-
-  mutable std::mutex stats_mu_;
-  ShardStats stats_;  // published snapshot (guarded by stats_mu_)
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -17,8 +17,8 @@
 // dropped), its in-flight job is failed the same way and its registered
 // compile budget cancelled so a budget-bound hang unwinds, and the
 // carcass is kept until its thread actually exits (joining a hung
-// thread would block the supervisor) before its counters are folded
-// into the retired totals. Recompiles on the fresh worker are
+// thread would block the supervisor); its counts are already in the
+// service's registry. Recompiles on the fresh worker are
 // pointer-identical by canonicity, the property the managers already
 // enforce.
 //
@@ -64,21 +64,17 @@ class Supervisor {
 
   // `slots` must outlive the supervisor (the service destroys the
   // supervisor first). `factory` builds a replacement worker for a slot.
-  // `flight` (may be null) receives hang/death anomalies and one record
-  // per request failed by a restart.
+  // `counters` is the service's registry counter set. `flight` (may be
+  // null) receives hang/death anomalies and one record per request
+  // failed by a restart.
   Supervisor(const ServeOptions& options,
              std::vector<std::unique_ptr<ShardSlot>>* slots,
-             SupervisionCounters* counters, obs::FlightRecorder* flight,
+             const ServeCounters* counters, obs::FlightRecorder* flight,
              WorkerFactory factory);
   ~Supervisor();  // stops the scan thread, then drains retired workers
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
-
-  // Folds the counters of retired (restart-replaced) workers — both the
-  // still-draining carcasses and the already-reaped totals — into
-  // `*totals`, keeping service counters monotone across restarts.
-  void AddRetiredStats(ShardStats* totals) const;
 
  private:
   struct Seen {
@@ -93,21 +89,18 @@ class Supervisor {
   void Restart(size_t i, std::shared_ptr<ShardWorker> old,
                std::chrono::steady_clock::time_point now);
   void DispatchHedges(std::chrono::steady_clock::time_point now);
-  // Destroys retired workers whose threads have exited, folding their
-  // final counters into reaped_totals_.
+  // Destroys retired workers whose threads have exited.
   void Reap();
 
   const ServeOptions options_;
   std::vector<std::unique_ptr<ShardSlot>>* const slots_;
-  SupervisionCounters* const counters_;
+  const ServeCounters* const counters_;
   obs::FlightRecorder* const flight_;  // may be null
   const WorkerFactory factory_;
 
-  std::vector<Seen> seen_;  // scan-thread only
-
-  mutable std::mutex retired_mu_;
+  // Scan-thread only (the destructor clears retired_ after the join).
+  std::vector<Seen> seen_;
   std::vector<std::shared_ptr<ShardWorker>> retired_;
-  ShardStats reaped_totals_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/lineage.h"
@@ -686,6 +688,47 @@ TEST(QueryServiceRobustnessTest, OverloadShedsTypedWithRetryHint) {
   ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
 }
 
+// A GC-due request that admission sheds hands its check to the owner's
+// next admission instead of losing that interval's check.
+TEST(QueryServiceRobustnessTest, ShedGcCheckRunsOnTheNextAdmission) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  options.max_queue_depth = 1;
+  options.gc_check_interval = 4;     // the 4th admission is GC-due
+  options.gc_live_node_ceiling = 1;  // every check collects
+  QueryService service(options);
+  QueryRequest request;
+  request.query = HierarchicalRSQuery();
+  request.db = &db;
+  request.route = PlanRoute::kSdd;
+  ASSERT_TRUE(service.Execute(request).status.ok());  // admission 1
+
+  // Admission 2 stalls the owner, 3 fills its one-slot queue, and 4, the
+  // GC-due one, is shed.
+  fault::FaultSpec stall;
+  stall.fire_at = 1;
+  stall.delay_ms = 200;
+  fault::Arm("serve.shard.process", stall);
+  std::thread stalled(
+      [&] { EXPECT_TRUE(service.Execute(request).status.ok()); });
+  while (fault::FireCount("serve.shard.process") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::vector<QueryResponse> burst =
+      service.ExecuteBatch({request, request});
+  stalled.join();
+  fault::DisarmAll();
+  EXPECT_TRUE(burst[0].status.ok()) << burst[0].status.ToString();
+  EXPECT_EQ(burst[1].status.code(), StatusCode::kUnavailable)
+      << burst[1].status.ToString();
+  EXPECT_EQ(service.stats().totals.gc_runs, 0u);
+
+  // Admission 5 carries the shed check.
+  ASSERT_TRUE(service.Execute(request).status.ok());
+  EXPECT_GT(service.stats().totals.gc_runs, 0u);
+}
+
 // Chaos mode: tiny budgets force ladder hops, moderate deadlines force
 // timeouts, bounded queues force sheds, and (in debug builds) armed
 // fault sites stall the shard loop — while every accepted answer must
@@ -1017,6 +1060,7 @@ TEST(QueryServiceSupervisionTest, DeadWorkerIsRestartedAndRecompilesExactly) {
   request.route = PlanRoute::kSdd;
   const QueryResponse before = service.Execute(request);
   ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+  const ShardStats alive = service.stats().totals;
 
   fault::FaultSpec death;
   death.fire_at = 1;
@@ -1041,6 +1085,11 @@ TEST(QueryServiceSupervisionTest, DeadWorkerIsRestartedAndRecompilesExactly) {
   EXPECT_GE(stats.supervision.shard_restarts, 1u);
   EXPECT_EQ(stats.totals.requests, 3u);
   EXPECT_EQ(stats.totals.failures, 1u);
+  // Gauges describe the live worker only: the dead worker's plan and
+  // nodes are not added to the recompiled ones.
+  EXPECT_EQ(stats.totals.plan_cache_size, 1u);
+  EXPECT_LE(stats.totals.live_nodes, alive.live_nodes);
+  EXPECT_LE(stats.totals.mem_bytes, alive.mem_bytes);
 }
 
 // A signature whose compiles exhaust the budget on both ladder routes
@@ -1281,6 +1330,134 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
             (options.num_shards + stats.supervision.shard_restarts) *
                 static_cast<uint64_t>(per_worker_bound));
+}
+
+// --- Counters and the metrics registry -----------------------------------
+
+// The value of `name` in a flat MetricsJson() object; -1 when absent.
+int64_t JsonValue(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+// Every ServiceStats counter and gauge is the value /metrics exports
+// under its registry name, including requests answered outside a
+// worker: an invalid argument, an admission shed, a quarantine reject
+// and a restart failure.
+TEST(QueryServiceMetricsTest, StatsAndRegistryAgreeOnEveryCounter) {
+  const Database db = BipartiteRstDatabase(4, 0.4);
+  ServeOptions options;
+  options.num_shards = 1;
+  options.max_queue_depth = 1;
+  options.heartbeat_window_ms = 500;       // above the stall below
+  options.compile_node_budget = 1u << 30;  // a budget for faults to trip
+  options.quarantine_threshold = 1;
+  options.quarantine_parole_ms = 1e7;  // no parole in this test
+  options.quarantine_parole_max_ms = 1e7;
+  QueryService service(options);
+  QueryRequest request;
+  request.query = HierarchicalRSQuery();
+  request.db = &db;
+  request.route = PlanRoute::kSdd;
+
+  QueryRequest no_db = request;
+  no_db.db = nullptr;
+  EXPECT_EQ(service.Execute(no_db).status.code(),
+            StatusCode::kInvalidArgument);
+
+  // Admission shed: the stalled owner has one job queued.
+  ASSERT_TRUE(service.Execute(request).status.ok());
+  fault::FaultSpec stall;
+  stall.fire_at = 1;
+  stall.delay_ms = 100;
+  fault::Arm("serve.shard.process", stall);
+  std::thread stalled([&] { (void)service.Execute(request); });
+  while (fault::FireCount("serve.shard.process") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::vector<QueryResponse> burst =
+      service.ExecuteBatch({request, request});
+  stalled.join();
+  fault::DisarmAll();
+  EXPECT_EQ(burst[1].status.code(), StatusCode::kUnavailable);
+
+  // Quarantine reject: both ladder routes of `poison` exhaust once.
+  QueryRequest poison = request;
+  poison.query = InequalityExampleQuery();
+  fault::FaultSpec trip;
+  trip.fire_every = 1;
+  trip.action = [] {
+    ShardWorker::TripActiveBudgetOnCurrentThread(
+        StatusCode::kResourceExhausted);
+  };
+  fault::Arm("serve.compile.route", trip);
+  EXPECT_EQ(service.Execute(poison).status.code(),
+            StatusCode::kResourceExhausted);
+  fault::DisarmAll();
+  EXPECT_EQ(service.Execute(poison).status.code(),
+            StatusCode::kResourceExhausted);
+
+  // Restart failure.
+  fault::FaultSpec death;
+  death.fire_at = 1;
+  death.action = [] { ShardWorker::RequestDeathOnCurrentThread(); };
+  fault::Arm("serve.shard.death", death);
+  EXPECT_EQ(service.Execute(request).status.code(), StatusCode::kUnavailable);
+  fault::DisarmAll();
+
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.totals.sheds, 1u);
+  EXPECT_EQ(s.supervision.quarantine_rejects, 1u);
+  EXPECT_EQ(s.supervision.failed_on_restart, 1u);
+  EXPECT_EQ(s.totals.requests, 8u);
+  EXPECT_EQ(s.totals.failures, 5u);
+  const ShardStats& t = s.totals;
+  const SupervisionStats& v = s.supervision;
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"serve.requests", t.requests},
+      {"serve.failures", t.failures},
+      {"serve.timeouts", t.timeouts},
+      {"serve.sheds", t.sheds},
+      {"serve.fallbacks", t.fallbacks},
+      {"serve.budget_aborts", t.budget_aborts},
+      {"serve.duplicate_skips", t.duplicate_skips},
+      {"serve.compiles", t.compiles},
+      {"serve.mem_rejects", t.mem_rejects},
+      {"serve.mem_aborts", t.mem_aborts},
+      {"serve.rejected_memory", s.rejected_memory},
+      {"serve.rejected_quarantine", s.rejected_quarantine},
+      {"plan_cache.hits", t.plan_hits},
+      {"plan_cache.misses", t.plan_misses},
+      {"plan_cache.evictions", t.plan_evictions},
+      {"plan_cache.targeted_evictions", t.targeted_evictions},
+      {"plan_cache.manager_evictions", t.manager_evictions},
+      {"plan_cache.pressure_evictions", t.pressure_evictions},
+      {"gc.runs", t.gc_runs},
+      {"gc.reclaimed_nodes", t.gc_reclaimed},
+      {"supervision.hangs_detected", v.hangs_detected},
+      {"supervision.deaths_detected", v.deaths_detected},
+      {"supervision.shard_restarts", v.shard_restarts},
+      {"supervision.failed_on_restart", v.failed_on_restart},
+      {"supervision.hedges_dispatched", v.hedges_dispatched},
+      {"supervision.hedge_sheds", v.hedge_sheds},
+      {"supervision.hedge_wins", v.hedge_wins},
+      {"supervision.hedge_cancels", v.hedge_cancels},
+      {"quarantine.rejects", v.quarantine_rejects},
+      {"quarantine.strikes", v.quarantine_strikes},
+      {"quarantine.parole_trials", v.parole_trials},
+      {"quarantine.parole_successes", v.parole_successes},
+      {"quarantine.entries", v.quarantine_entries},
+      {"plan_cache.size", t.plan_cache_size},
+      {"serve.live_nodes", static_cast<uint64_t>(t.live_nodes)},
+      {"serve.peak_live_nodes", static_cast<uint64_t>(t.peak_live_nodes)},
+      {"mem.bytes", t.mem_bytes},
+  };
+  const std::string json = service.MetricsJson();
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(JsonValue(json, name), static_cast<int64_t>(value)) << name;
+  }
 }
 
 // --- Hits served by any idle shard ---------------------------------------
