@@ -1,11 +1,13 @@
 // Bounded LRU cache of compiled query plans.
 //
 // A plan is the reusable product of one (query, database, strategy)
-// compilation: the rooted OBDD or SDD lineage inside a pooled manager,
-// pinned against garbage collection via the manager's external-root
-// refs, plus its flattened copy (util/flat_diagram.h) that answers every
-// request for it. Repeats — including weight-varied repeats — skip
-// recompilation entirely and pay only one linear pass over the flat copy.
+// compilation: the lineage's decision diagram flattened into an
+// immutable FlatDiagram (util/flat_diagram.h) that answers every request
+// for it. The flat copy owns the answer outright — it points into no
+// manager, so the manager that compiled it is scratch the shard may
+// collect or destroy while the plan keeps answering. Repeats — including
+// weight-varied repeats — skip recompilation entirely and pay only one
+// linear pass over the flat copy.
 //
 // Threading: each shard owns one cache (see serve/shard.h), and a mutex
 // inside guards every method. Only the owning shard's thread inserts and
@@ -15,9 +17,8 @@
 // owning thread until that thread's next Insert/Evict*/EraseIf.
 //
 // Capacity is bounded with LRU eviction. Eviction runs the owner's
-// callback so the plan's root refs are released before the entry is
-// destroyed — that is what turns an evicted plan's nodes into garbage
-// the next collection can reclaim. A flat copy still held by a hit in
+// callback (which folds the plan's telemetry into the service totals)
+// before the entry is destroyed. A flat copy still held by a hit in
 // flight lives on until that hit is answered.
 
 #ifndef CTSDD_SERVE_PLAN_CACHE_H_
@@ -76,9 +77,9 @@ struct PlanHit {
 
 struct CompiledPlan {
   PlanRoute route = PlanRoute::kSdd;
-  // Exactly one manager pointer is set for non-constant lineages; the
-  // pointed-to manager is owned by the shard's pool and outlives the
-  // plan (plan eviction precedes manager eviction).
+  // Kept for perfbench/db_churn.cc's replayer, which still pins its root
+  // in a manager of its own; the service leaves all four null (the flat
+  // copy is the plan).
   ObddManager* obdd = nullptr;
   ObddManager::NodeId obdd_root = 0;
   SddManager* sdd = nullptr;
@@ -93,11 +94,6 @@ struct CompiledPlan {
   // size() and width() are the ones responses report.
   std::shared_ptr<const FlatDiagram> flat;
   int lineage_gates = 0;
-  // Nodes this plan pins in its manager while cached (reachable internal
-  // OBDD nodes / SDD decision nodes from the pinned root). The GC policy
-  // uses it to target eviction at the manager actually over its
-  // resident-node ceiling instead of shedding in global LRU order.
-  int pinned_nodes = 0;
   // Per-plan telemetry, shared with the PlanStatsRegistry live table so
   // the debug server reads it without taking this cache's lock. Null
   // only for plans built before telemetry wiring (tests).
@@ -109,7 +105,7 @@ struct CompiledPlan {
 class PlanCache {
  public:
   // `on_evict` runs for every entry leaving the cache (LRU pressure,
-  // EvictOne, EraseIf) — the owner releases the plan's root refs there.
+  // EvictOne, EraseIf, destruction).
   using EvictFn = std::function<void(const PlanKey&, CompiledPlan&)>;
 
   // Capacity 0 is clamped to 1: Insert must return a resident plan for
@@ -132,9 +128,8 @@ class PlanCache {
 
   // Attaches the governor account; entry overhead (the entry itself, the
   // plan's variable list and its flat copy) is charged under
-  // MemLayer::kPlanCache at Insert and released at eviction. The pinned diagram nodes themselves
-  // are store/arena bytes of the owning manager's account, not counted
-  // here (no double-charging). Attach before the first Insert.
+  // MemLayer::kPlanCache at Insert and released at eviction. Attach
+  // before the first Insert.
   void SetMemAccount(MemAccount* account) { account_ = account; }
 
   size_t MemoryBytes() const {
@@ -189,10 +184,8 @@ class PlanCache {
   }
 
   // Evicts the least-recently-used entry for which `pred` holds; false
-  // when none matches. The GC policy uses this to shed plans pinned in
-  // the one manager over its resident-node ceiling, preserving every
-  // other manager's cached plans (LRU order still decides *which* of the
-  // matching plans goes).
+  // when none matches. Behind EvictOne, and perfbench's replayer still
+  // sheds the plans of one manager with it.
   template <typename Pred>
   bool EvictOneMatching(Pred&& pred) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,22 +197,8 @@ class PlanCache {
     return false;
   }
 
-  // Total pinned_nodes over cached plans for which `pred` holds — the
-  // per-manager pinned-node accounting behind the eviction policy.
-  template <typename Pred>
-  int PinnedNodesMatching(Pred&& pred) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    int total = 0;
-    for (const auto& [key, plan] : entries_) {
-      if (pred(static_cast<const CompiledPlan&>(plan))) {
-        total += plan.pinned_nodes;
-      }
-    }
-    return total;
-  }
-
-  // Evicts every plan for which `pred` holds (e.g. all plans inside a
-  // manager about to be destroyed).
+  // Evicts every plan for which `pred` holds; the destructor drops every
+  // plan through it, and perfbench's replayer drops a dying manager's.
   template <typename Pred>
   void EraseIf(Pred&& pred) {
     std::lock_guard<std::mutex> lock(mu_);

@@ -366,8 +366,7 @@ void QueryService::StartDebugServer() {
       rows.Num("nodes", p->nodes);
       rows.Num("edges", p->edges);
       rows.Num("width", p->width);
-      rows.Num("pinned_nodes", p->pinned_nodes);
-      rows.Num("pinned_bytes", p->pinned_bytes);
+      rows.Num("flat_bytes", p->flat_bytes);
       rows.Num("predicted_treewidth", p->predicted_treewidth);
       rows.Num("exact_treewidth", p->exact_treewidth);
       rows.Num("exact_pathwidth", p->exact_pathwidth);

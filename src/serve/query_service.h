@@ -13,9 +13,9 @@
 // util/thread_check.h) and its plan-cache partition. Misses compile on
 // the owner; hits carry the plan's immutable flat copy and are answered
 // by the owner when it is idle, else by any idle shard (serve/shard.h).
-// Each owner bounds resident memory with the managers' mark-from-
-// roots garbage collection: evicted plans release their root refs, the
-// next collection reclaims their nodes, and caches shrink back to
+// A plan's flat copy holds its answer outright, so the managers are
+// compile scratch: each owner collects a manager over its resident-node
+// ceiling down to its permanent nodes and shrinks its caches back to
 // baseline — so the service runs indefinitely where the one-shot
 // pipeline's managers grow without limit.
 

@@ -18,8 +18,6 @@ ServeCounters::ServeCounters(obs::MetricsRegistry* registry)
       plan_hits(registry->GetCounter("plan_cache.hits")),
       plan_misses(registry->GetCounter("plan_cache.misses")),
       plan_evictions(registry->GetCounter("plan_cache.evictions")),
-      targeted_evictions(
-          registry->GetCounter("plan_cache.targeted_evictions")),
       manager_evictions(registry->GetCounter("plan_cache.manager_evictions")),
       pressure_evictions(
           registry->GetCounter("plan_cache.pressure_evictions")),
@@ -55,7 +53,6 @@ void ServeCounters::Read(ServiceStats* out) const {
   t.plan_hits = plan_hits->value();
   t.plan_misses = plan_misses->value();
   t.plan_evictions = plan_evictions->value();
-  t.targeted_evictions = targeted_evictions->value();
   t.manager_evictions = manager_evictions->value();
   t.pressure_evictions = pressure_evictions->value();
   t.gc_runs = gc_runs->value();

@@ -31,13 +31,15 @@ struct ServeOptions {
   int num_shards = 4;
   // Compiled plans retained per shard (LRU past this).
   size_t plan_cache_capacity = 256;
-  // Managers pooled per shard and kind (OBDD by variable order, SDD by
-  // vtree); least-recently-used managers are destroyed past the cap,
-  // dropping their cached plans.
+  // Compile-scratch managers pooled per shard and kind (OBDD by variable
+  // order, SDD by vtree); least-recently-used managers are destroyed past
+  // the cap (0 acts as 1). Cached plans do not live in them, so they keep
+  // answering.
   size_t manager_pool_capacity = 8;
   // Per-manager resident-node ceiling. When a policy check finds a
-  // manager above it, the shard garbage-collects; if pinned plans alone
-  // keep it above, LRU plans are evicted and collection reruns.
+  // manager above it, the shard garbage-collects it (no plan holds its
+  // nodes, so collection empties it down to its literals) and shrinks
+  // its caches.
   int gc_live_node_ceiling = 1 << 20;
   // Requests between GC policy checks on a shard.
   int gc_check_interval = 16;
@@ -176,12 +178,11 @@ struct ShardStats {
   uint64_t plan_hits = 0;
   uint64_t plan_misses = 0;
   uint64_t plan_evictions = 0;
-  // Plans the GC policy evicted from a manager over its resident-node
-  // ceiling (only that manager's plans pin its nodes).
-  uint64_t targeted_evictions = 0;
   uint64_t compiles = 0;
   uint64_t gc_runs = 0;
   uint64_t gc_reclaimed = 0;
+  // Compile-scratch managers destroyed (pool capacity or the shed
+  // ladder); the plans they compiled stay cached.
   uint64_t manager_evictions = 0;
   // Requests failed with DEADLINE_EXCEEDED — expired while queued or
   // aborted mid-compile by their deadline.
@@ -321,7 +322,6 @@ struct ServeCounters {
   obs::Counter* const plan_hits;
   obs::Counter* const plan_misses;
   obs::Counter* const plan_evictions;
-  obs::Counter* const targeted_evictions;
   obs::Counter* const manager_evictions;
   obs::Counter* const pressure_evictions;
   obs::Counter* const gc_runs;

@@ -51,15 +51,11 @@ ShardWorker::ShardWorker(int shard_id, const ServeOptions& options,
       plan_stats_(plan_stats),
       plans_(options.plan_cache_capacity,
              [this](const PlanKey&, CompiledPlan& plan) {
-               // Unpin the plan's lineage: the released nodes become
-               // garbage for the owning manager's next collection.
-               if (plan.obdd) plan.obdd->ReleaseRootRef(plan.obdd_root);
-               if (plan.sdd) plan.sdd->ReleaseRootRef(plan.sdd_root);
                // Telemetry conservation: fold the evicted plan's
                // histogram and counters into the service totals before
                // the block leaves the live table. Covers every removal
-               // path — LRU pressure, GC shedding, manager eviction,
-               // shard restart, cache destruction.
+               // path — LRU pressure, memory pressure, shard restart,
+               // cache destruction.
                if (plan_stats_ != nullptr && plan.stats != nullptr) {
                  plan_stats_->OnEviction(plan.stats);
                }
@@ -80,10 +76,6 @@ ShardWorker::~ShardWorker() {
   }
   cv_.notify_all();
   thread_.join();
-  // The managers are bound to the (now joined) worker thread; detach so
-  // the destroying thread may release the cached plans' root refs.
-  for (PooledObdd& e : obdd_pool_) e.manager->DetachOwningThread();
-  for (PooledSdd& e : sdd_pool_) e.manager->DetachOwningThread();
 }
 
 bool ShardWorker::Submit(const ShardJob& job, double* retry_after_ms) {
@@ -484,6 +476,15 @@ PlanRoute AlternateRoute(PlanRoute route) {
   return route == PlanRoute::kObdd ? PlanRoute::kSdd : PlanRoute::kObdd;
 }
 
+// The least recently used entry of a manager pool; end() when empty.
+template <typename Pool>
+typename Pool::iterator LruEntry(Pool& pool) {
+  return std::min_element(pool.begin(), pool.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.last_used < b.last_used;
+                          });
+}
+
 }  // namespace
 
 StatusOr<CompiledPlan> ShardWorker::CompilePlan(const ShardJob& job) {
@@ -630,16 +631,14 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
   plan.stats->lineage_gates = plan.lineage_gates;
   plan.stats->num_vars = static_cast<int>(plan.vars.size());
   MemGovernor* gov = options_.mem_governor;
-  // One budgeted compile in `manager`: on success the root is pinned and
-  // flattened, and the flattening walk supplies the plan's size, width
-  // and pinned-node count (OBDD nodes or SDD decisions).
+  // One budgeted compile in the scratch `manager`: on success the root is
+  // flattened into the plan, which keeps no reference into the manager —
+  // its nodes are garbage for the next collection.
   const auto compile = [&](auto* manager, auto compile_fn) -> Status {
     // Acquiring a manager may build one, which is slow enough under
     // sanitizers to look like a stall: stamp progress before the compile
     // (whose leases stamp it from there on) and before the flattening.
     Beat();
-    const MemAccount* acct = manager->mem_account();
-    const uint64_t bytes_before = acct != nullptr ? acct->bytes() : 0;
     if (budget != nullptr) manager->AttachBudget(budget);
     // Register with the governor while the compile is in flight: when
     // another shard drives the process to the hard ceiling, the governor
@@ -656,31 +655,25 @@ StatusOr<CompiledPlan> ShardWorker::CompileRoute(const QueryRequest& request,
       TimedGc(manager);
       return budget->status();
     }
-    manager->AddRootRef(root);
     Beat();
     plan.flat = std::make_shared<const FlatDiagram>(manager->Flatten(root));
-    plan.pinned_nodes = plan.flat->num_decisions();
     plan.stats->nodes = static_cast<uint64_t>(plan.flat->size());
     plan.stats->edges = 2 * static_cast<uint64_t>(plan.flat->size());
     plan.stats->width = static_cast<uint64_t>(plan.flat->width());
-    plan.stats->pinned_nodes = static_cast<uint64_t>(plan.pinned_nodes);
-    const uint64_t bytes_after = acct != nullptr ? acct->bytes() : 0;
-    plan.stats->pinned_bytes =
-        bytes_after > bytes_before ? bytes_after - bytes_before : 0;
+    plan.stats->flat_bytes = static_cast<uint64_t>(plan.flat->MemoryBytes());
     return Status::Ok();
   };
   if (route == PlanRoute::kObdd) {
-    plan.obdd = ObddFor(plan.vars);
-    CTSDD_RETURN_IF_ERROR(compile(plan.obdd, [&](ObddManager* m) {
-      return plan.obdd_root = CompileCircuitToObdd(m, circuit);
+    CTSDD_RETURN_IF_ERROR(compile(ObddFor(plan.vars), [&](ObddManager* m) {
+      return CompileCircuitToObdd(m, circuit);
     }));
   } else {
     auto vtree = VtreeForStrategy(circuit, plan.vars, request.strategy);
     CTSDD_RETURN_IF_ERROR(vtree.status());
-    plan.sdd = SddFor(std::move(vtree).value());
-    CTSDD_RETURN_IF_ERROR(compile(plan.sdd, [&](SddManager* m) {
-      return plan.sdd_root = CompileCircuitToSdd(m, circuit);
-    }));
+    CTSDD_RETURN_IF_ERROR(
+        compile(SddFor(std::move(vtree).value()), [&](SddManager* m) {
+          return CompileCircuitToSdd(m, circuit);
+        }));
   }
   return plan;
 }
@@ -708,16 +701,10 @@ ObddManager* ShardWorker::ObddFor(const std::vector<int>& order) {
       return e.manager.get();
     }
   }
-  if (obdd_pool_.size() >= options_.manager_pool_capacity) {
-    const auto victim = std::min_element(
-        obdd_pool_.begin(), obdd_pool_.end(),
-        [](const PooledObdd& a, const PooledObdd& b) {
-          return a.last_used < b.last_used;
-        });
-    ObddManager* dying = victim->manager.get();
-    plans_.EraseIf(
-        [dying](const CompiledPlan& p) { return p.obdd == dying; });
-    obdd_pool_.erase(victim);
+  // A capacity of 0 acts as 1: the compile about to run needs a manager.
+  if (!obdd_pool_.empty() &&
+      obdd_pool_.size() >= options_.manager_pool_capacity) {
+    obdd_pool_.erase(LruEntry(obdd_pool_));
     counters_->manager_evictions->Add();
   }
   obdd_pool_.push_back({order, std::make_unique<MemAccount>(&account_),
@@ -737,15 +724,9 @@ SddManager* ShardWorker::SddFor(Vtree vtree) {
       return e.manager.get();
     }
   }
-  if (sdd_pool_.size() >= options_.manager_pool_capacity) {
-    const auto victim = std::min_element(
-        sdd_pool_.begin(), sdd_pool_.end(),
-        [](const PooledSdd& a, const PooledSdd& b) {
-          return a.last_used < b.last_used;
-        });
-    SddManager* dying = victim->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
-    sdd_pool_.erase(victim);
+  if (!sdd_pool_.empty() &&
+      sdd_pool_.size() >= options_.manager_pool_capacity) {
+    sdd_pool_.erase(LruEntry(sdd_pool_));
     counters_->manager_evictions->Add();
   }
   sdd_pool_.push_back({std::move(key), std::make_unique<MemAccount>(&account_),
@@ -776,26 +757,14 @@ double ShardWorker::MemRetryHintMs() const {
 }
 
 bool ShardWorker::EvictLruManager() {
-  const auto obdd_it =
-      std::min_element(obdd_pool_.begin(), obdd_pool_.end(),
-                       [](const PooledObdd& a, const PooledObdd& b) {
-                         return a.last_used < b.last_used;
-                       });
-  const auto sdd_it =
-      std::min_element(sdd_pool_.begin(), sdd_pool_.end(),
-                       [](const PooledSdd& a, const PooledSdd& b) {
-                         return a.last_used < b.last_used;
-                       });
+  const auto obdd_it = LruEntry(obdd_pool_);
+  const auto sdd_it = LruEntry(sdd_pool_);
   const bool have_obdd = obdd_it != obdd_pool_.end();
   const bool have_sdd = sdd_it != sdd_pool_.end();
   if (!have_obdd && !have_sdd) return false;
   if (have_obdd && (!have_sdd || obdd_it->last_used <= sdd_it->last_used)) {
-    ObddManager* dying = obdd_it->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.obdd == dying; });
     obdd_pool_.erase(obdd_it);
   } else {
-    SddManager* dying = sdd_it->manager.get();
-    plans_.EraseIf([dying](const CompiledPlan& p) { return p.sdd == dying; });
     sdd_pool_.erase(sdd_it);
   }
   counters_->manager_evictions->Add();
@@ -815,20 +784,12 @@ void ShardWorker::RunMemPressureLadder() {
     TimedGc(e.manager.get());
     e.manager->ShrinkCaches();
   }
-  // Critical tier: shed state — unpinned (LRU) plans in batches, each
-  // batch followed by a collection so the released roots turn into
-  // bytes; then whole managers. Destroying a manager is the only step
-  // that returns node-store and arena chunks to the allocator.
-  while (gov->tier() == MemGovernor::Tier::kCritical) {
-    int evicted = 0;
-    while (evicted < 8 && plans_.EvictOne()) ++evicted;
-    if (evicted > 0) {
-      counters_->pressure_evictions->Add(static_cast<uint64_t>(evicted));
-      for (PooledObdd& e : obdd_pool_) TimedGc(e.manager.get());
-      for (PooledSdd& e : sdd_pool_) TimedGc(e.manager.get());
-      continue;
-    }
-    if (!EvictLruManager()) break;  // nothing left to shed on this shard
+  // Critical tier: shed state — whole LRU managers first (destroying a
+  // manager is the only step that returns node-store and arena chunks to
+  // the allocator, and the plans it compiled keep answering), then LRU
+  // plans, whose flat copies are the only bytes left.
+  while (gov->tier() == MemGovernor::Tier::kCritical &&
+         (EvictLruManager() || plans_.EvictOne())) {
     counters_->pressure_evictions->Add();
   }
 }
@@ -840,23 +801,9 @@ void ShardWorker::RunGcPolicy() {
   const auto enforce = [&](auto* manager) {
     if (manager->NumLiveNodes() <= options_.gc_live_node_ceiling) return;
     saw_pressure = true;
+    // No plan holds a root here, so the collection leaves only the
+    // manager's permanent nodes (terminals and literals).
     reclaimed_this_check += TimedGc(manager);
-    // Pinned plans alone may hold the manager above the ceiling, so
-    // eviction targets *this* manager's plans (LRU order among them): a
-    // plan's roots pin nodes only in its own manager, and shedding
-    // another manager's plans could never bring this one under its
-    // ceiling. When the over-ceiling manager has nothing left to shed,
-    // its live set is all permanent (literals) or externally pinned, and
-    // the policy stops.
-    const auto in_this_manager = [manager](const CompiledPlan& p) {
-      return p.obdd == static_cast<const void*>(manager) ||
-             p.sdd == static_cast<const void*>(manager);
-    };
-    while (manager->NumLiveNodes() > options_.gc_live_node_ceiling &&
-           plans_.EvictOneMatching(in_this_manager)) {
-      counters_->targeted_evictions->Add();
-      reclaimed_this_check += TimedGc(manager);
-    }
     // Return cache capacity sized up by the pre-GC workload to baseline
     // (the SDD manager repopulates its semantic cache from survivors).
     manager->ShrinkCaches();

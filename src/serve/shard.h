@@ -1,16 +1,16 @@
 // One shard of the query service: a worker thread owning its managers.
 //
 // The managers are single-threaded by contract, so the shard is the unit
-// of compilation and memory accounting: it runs one thread, pools
+// of compilation and memory accounting: it runs one thread and pools
 // its managers (OBDD managers keyed by exact variable order, SDD
 // managers keyed by exact vtree structure — the one shared structure,
-// the process-wide WidthCache, carries its own mutex), keeps the plans
-// compiled inside them pinned via external root refs, and enforces the
-// resident-node ceiling with mark-from-roots garbage collection: when a
-// manager exceeds the ceiling, the shard collects; when pinned plans
-// alone hold it above, LRU plans are evicted (releasing their roots) and
-// collection reruns. Manager pools are themselves LRU-bounded; evicting
-// a manager first evicts every plan compiled inside it.
+// the process-wide WidthCache, carries its own mutex). The managers are
+// compile scratch: a compile flattens its root into the plan's
+// FlatDiagram and keeps no reference into the manager, so the shard's
+// plan cache never depends on them. The shard enforces the resident-node
+// ceiling by collecting (and shrinking the caches of) any manager over
+// it, which empties it down to its permanent nodes. Manager pools are
+// LRU-bounded; evicting a manager costs its plans nothing.
 //
 // Supervision surface: the worker stamps an atomic progress counter at
 // every job phase and flags busy/exited, so the service's supervisor can
@@ -315,18 +315,17 @@ class ShardWorker {
                                 const QueryRequest& request);
   ObddManager* ObddFor(const std::vector<int>& order);
   SddManager* SddFor(Vtree vtree);
-  // Ceiling enforcement + resident-node accounting (see file comment).
+  // Ceiling enforcement (see file comment), after the shed ladder.
   void RunGcPolicy();
   // Memory-pressure shed ladder, run when the governor reports pressure:
   // shrink caches + collect every pooled manager (soft tier), then while
-  // still critical evict LRU plans and finally whole LRU managers —
-  // manager destruction being the only step that returns store/arena
-  // chunk bytes to the allocator.
+  // still critical evict whole LRU managers — manager destruction being
+  // the only step that returns store/arena chunk bytes to the allocator —
+  // and finally LRU plans.
   void RunMemPressureLadder();
   // Backoff hint attached to memory-pressure rejects.
   double MemRetryHintMs() const;
-  // LRU manager eviction across both pools (plans inside it first);
-  // false when both pools are empty.
+  // LRU manager eviction across both pools; false when both are empty.
   bool EvictLruManager();
   // GarbageCollect with the pause recorded into the service's GC pause
   // histogram and the reclaim counted.
@@ -354,9 +353,6 @@ class ShardWorker {
 
   // Worker-thread state (no locking: only the worker touches it), except
   // the plan cache, which carries its own lock for admission lookups.
-  // The pools are declared before the plan cache so the cache — whose
-  // eviction callback releases root refs into the pooled managers — is
-  // destroyed first.
   std::list<PooledObdd> obdd_pool_;
   std::list<PooledSdd> sdd_pool_;
   PlanCache plans_;

@@ -21,8 +21,8 @@
 //   - MemGovernor: soft/hard watermarks over the process total and the
 //     pressure machinery serving needs: a tier snapshot (None / Soft /
 //     Critical) that drives the serve-layer shed ladder (shrink caches,
-//     force GC, evict unpinned plans, evict idle managers, reject cold
-//     compiles typed RESOURCE_EXHAUSTED), deny-before-allocate admission
+//     force GC, evict idle managers, then plans, reject cold compiles
+//     typed RESOURCE_EXHAUSTED), deny-before-allocate admission
 //     (`AdmitProjected`) consulted at the managers' budget-lease refill
 //     seams so a compile that cannot fit its worst-case allocation burst
 //     trips *before* allocating — the hard ceiling is never crossed —
@@ -60,8 +60,7 @@ class WorkBudget;
 class MemGovernor;
 
 // Accounting layers, reported per-layer in serve stats. kPlanCache covers
-// the serve-layer plan-entry overhead (the pinned diagram nodes
-// themselves are store/arena bytes of the owning manager).
+// the serve-layer plan entries, their flat copies included.
 enum class MemLayer : int {
   kNodeStore = 0,
   kArena = 1,
@@ -114,10 +113,10 @@ class MemAccount {
 class MemGovernor {
  public:
   // Pressure tiers over the process total. The serve-layer response
-  // ladder keys off these: at kSoft shards shed (shrink caches, force
-  // GC, evict unpinned plans, evict idle managers) and optional cache
-  // growth is denied; at kCritical admission additionally rejects cold
-  // compiles typed RESOURCE_EXHAUSTED with a retry hint. The hard
+  // ladder keys off these: at kSoft shards shrink caches and force GC
+  // and optional cache growth is denied; at kCritical shards also evict
+  // idle managers, then plans, and admission rejects cold compiles
+  // typed RESOURCE_EXHAUSTED with a retry hint. The hard
   // ceiling itself is enforced by deny-before-allocate at the lease
   // seams plus cancel-largest — tiers only decide how aggressively to
   // get *out* of pressure.

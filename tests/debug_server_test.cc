@@ -227,6 +227,7 @@ TEST(QueryServiceIntrospectionTest, EndpointsServeLiveState) {
   EXPECT_NE(r.body.find("\"live_plans\":2"), std::string::npos);
   EXPECT_NE(r.body.find("\"predicted_treewidth\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"nodes\":"), std::string::npos);
+  EXPECT_NE(r.body.find("\"flat_bytes\":"), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"obdd\""), std::string::npos);
   EXPECT_NE(r.body.find("\"route\":\"sdd\""), std::string::npos);
   // Each plan served 3 evaluations; conservation sums live + evicted.

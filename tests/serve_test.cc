@@ -355,18 +355,17 @@ TEST(QueryServiceTest, StaysBoundedUnderEvictionPressure) {
 TEST(PlanCacheTest, EvictOneMatchingTakesLruWithinPredicate) {
   std::vector<int> evicted;
   PlanCache cache(16, [&](const PlanKey&, CompiledPlan& plan) {
-    evicted.push_back(plan.pinned_nodes);
+    evicted.push_back(plan.lineage_gates);
   });
-  // Tag plans by pinned_nodes; odd tags simulate "manager A", even "B".
+  // Tag plans by lineage_gates; odd tags simulate "manager A", even "B".
   for (int i = 1; i <= 6; ++i) {
     PlanKey key;
     key.query_sig = static_cast<uint64_t>(i);
     CompiledPlan plan;
-    plan.pinned_nodes = i;
+    plan.lineage_gates = i;
     cache.Insert(key, std::move(plan));
   }
-  const auto odd = [](const CompiledPlan& p) { return p.pinned_nodes % 2 == 1; };
-  EXPECT_EQ(cache.PinnedNodesMatching(odd), 1 + 3 + 5);
+  const auto odd = [](const CompiledPlan& p) { return p.lineage_gates % 2 == 1; };
   // LRU within the predicate: 1 was inserted first, so it goes first
   // even though 2 is the global LRU... (2 is older? inserted order 1..6,
   // LRU is 1). Evict odd: 1, then 3, then 5.
@@ -375,7 +374,6 @@ TEST(PlanCacheTest, EvictOneMatchingTakesLruWithinPredicate) {
   EXPECT_TRUE(cache.EvictOneMatching(odd));
   EXPECT_FALSE(cache.EvictOneMatching(odd));
   EXPECT_EQ(evicted, (std::vector<int>{1, 3, 5}));
-  EXPECT_EQ(cache.PinnedNodesMatching(odd), 0);
   // The even plans survived untouched.
   EXPECT_EQ(cache.size(), 3u);
   for (int i = 2; i <= 6; i += 2) {
@@ -385,9 +383,10 @@ TEST(PlanCacheTest, EvictOneMatchingTakesLruWithinPredicate) {
   }
 }
 
-// Under ceiling pressure the policy sheds plans of the over-ceiling
-// manager (targeted) before falling back to global LRU order, so small
-// plans in under-ceiling managers keep hitting.
+// Under ceiling pressure the policy collects the over-ceiling manager
+// down to its permanent nodes; no plan lives in a manager, so no plan is
+// shed for it: small plans keep hitting, every answer stays exact, and
+// resident nodes end under the policy's bound.
 TEST(QueryServiceTest, GcPolicyTargetsTheOverCeilingManager) {
   const Database db = BipartiteRstDatabase(6, 0.3);
   ServeOptions options;
@@ -396,15 +395,27 @@ TEST(QueryServiceTest, GcPolicyTargetsTheOverCeilingManager) {
   options.gc_live_node_ceiling = 64;
   options.gc_check_interval = 2;
   QueryService service(options);
+  std::map<uint64_t, double> oracle;
+  const auto expect_exact = [&](const QueryRequest& request,
+                                const QueryResponse& response) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    const uint64_t sig = QuerySignature(request.query);
+    if (oracle.find(sig) == oracle.end()) {
+      const auto compiled =
+          CompileQuery(request.query, db, VtreeStrategy::kBalanced);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      oracle[sig] = compiled->probability;
+    }
+    EXPECT_NEAR(response.probability, oracle[sig], 1e-9);
+  };
   // A stream of distinct SDD-route queries keeps the SDD managers hot
   // and over ceiling; one tiny OBDD-route plan (single-constant query,
-  // a handful of lineage tuples) sits in the same cache inside an
-  // always-under-ceiling manager.
+  // a handful of lineage tuples) sits in the same cache.
   QueryRequest small;
   small.query = PerConstantRsQuery(1);
   small.db = &db;
   small.route = PlanRoute::kObdd;
-  ASSERT_TRUE(service.Execute(small).status.ok());
+  expect_exact(small, service.Execute(small));
   for (int round = 0; round < 100; ++round) {
     QueryRequest request;
     request.query = PerConstantRsQuery(1 + round % 6);
@@ -414,15 +425,73 @@ TEST(QueryServiceTest, GcPolicyTargetsTheOverCeilingManager) {
     if (round % 5 == 1) request.query = InequalityExampleQuery();
     request.db = &db;
     request.route = PlanRoute::kSdd;
-    ASSERT_TRUE(service.Execute(request).status.ok());
+    expect_exact(request, service.Execute(request));
+  }
+  // SDD-manager pressure never cost the OBDD plan its slot: its repeats
+  // still hit the cache. They add no nodes, and at least one of them
+  // carries a GC check (the cadence backs off to at most 8x the
+  // configured interval).
+  for (int repeat = 0; repeat < 8 * options.gc_check_interval; ++repeat) {
+    const QueryResponse again = service.Execute(small);
+    expect_exact(small, again);
+    EXPECT_TRUE(again.plan_cache_hit) << "repeat " << repeat;
   }
   const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.totals.targeted_evictions, 0u);
-  // The OBDD plan was never the eviction target of SDD-manager pressure:
-  // its repeat still hits the cache.
-  const QueryResponse again = service.Execute(small);
-  ASSERT_TRUE(again.status.ok());
-  EXPECT_TRUE(again.plan_cache_hit);
+  EXPECT_GT(stats.totals.gc_runs, 0u);
+  EXPECT_LE(stats.totals.live_nodes,
+            2 * static_cast<int>(options.manager_pool_capacity) *
+                options.gc_live_node_ceiling);
+}
+
+void ExpectPlansOutliveTheirManagers(size_t manager_pool_capacity) {
+  const Database db = BipartiteRstDatabase(4, 0.35);
+  ServeOptions options;
+  options.num_shards = 1;  // one shard: both shapes share its pools
+  options.manager_pool_capacity = manager_pool_capacity;
+  QueryService service(options);
+  // Two shapes over disjoint-enough tuples: different OBDD orders and
+  // different balanced vtrees, on both routes.
+  std::vector<QueryRequest> requests;
+  for (const int constant : {1, 2}) {
+    for (const PlanRoute route : {PlanRoute::kObdd, PlanRoute::kSdd}) {
+      QueryRequest request;
+      request.query = PerConstantRsQuery(constant);
+      request.db = &db;
+      request.route = route;
+      requests.push_back(std::move(request));
+    }
+  }
+  std::vector<QueryResponse> first;
+  for (const QueryRequest& request : requests) {
+    first.push_back(service.Execute(request));
+    ASSERT_TRUE(first.back().status.ok()) << first.back().status.ToString();
+    EXPECT_FALSE(first.back().plan_cache_hit);
+  }
+  EXPECT_GT(service.stats().totals.manager_evictions, 0u);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const QueryResponse again = service.Execute(requests[i]);
+      ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+      EXPECT_TRUE(again.plan_cache_hit) << "round " << round << " plan " << i;
+      // Bitwise: the same flat copy evaluated at the same weights.
+      EXPECT_EQ(again.probability, first[i].probability)
+          << "round " << round << " plan " << i;
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.totals.compiles, requests.size());
+  EXPECT_EQ(stats.totals.plan_evictions, 0u);
+}
+
+// Managers are compile scratch: with one manager per kind, every cold
+// compile below evicts the other shape's manager, and the plans compiled
+// in the evicted managers keep answering from their flat copies, hit for
+// hit and bit for bit. A pool capacity of 0 acts as 1.
+TEST(QueryServiceTest, PlansOutliveTheirManagers) {
+  for (const size_t capacity : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE("manager_pool_capacity " + std::to_string(capacity));
+    ExpectPlansOutliveTheirManagers(capacity);
+  }
 }
 
 // --- Parallel cold compiles (shared exec pool) ----------------------------
@@ -1320,15 +1389,15 @@ TEST(QueryServiceSupervisionTest, ChaosSoakSurvivesHangsAndDeaths) {
   // restart happened, and the books still balance.
   EXPECT_GE(stats.supervision.shard_restarts, 1u);
   EXPECT_EQ(stats.totals.requests, accepted + rejected);
-  // Residency: each live worker is bounded by its GC policy (ceiling x
-  // pool, with 2x slack for between-check growth and aborted partial
-  // compiles); every restart can additionally leave one unreaped
-  // carcass whose frozen nodes still fold into the totals.
+  // Residency: each current worker is bounded by its GC policy (ceiling
+  // x pool, with 2x slack for between-check growth and aborted partial
+  // compiles). The gauges read only the current workers, so a restarted
+  // worker's carcass adds nothing to the totals.
   const int per_worker_bound =
       2 * static_cast<int>(options.manager_pool_capacity) *
       options.gc_live_node_ceiling;
   EXPECT_LE(static_cast<uint64_t>(stats.totals.live_nodes),
-            (options.num_shards + stats.supervision.shard_restarts) *
+            static_cast<uint64_t>(options.num_shards) *
                 static_cast<uint64_t>(per_worker_bound));
 }
 
@@ -1431,7 +1500,6 @@ TEST(QueryServiceMetricsTest, StatsAndRegistryAgreeOnEveryCounter) {
       {"plan_cache.hits", t.plan_hits},
       {"plan_cache.misses", t.plan_misses},
       {"plan_cache.evictions", t.plan_evictions},
-      {"plan_cache.targeted_evictions", t.targeted_evictions},
       {"plan_cache.manager_evictions", t.manager_evictions},
       {"plan_cache.pressure_evictions", t.pressure_evictions},
       {"gc.runs", t.gc_runs},
@@ -1458,6 +1526,8 @@ TEST(QueryServiceMetricsTest, StatsAndRegistryAgreeOnEveryCounter) {
   for (const auto& [name, value] : expected) {
     EXPECT_EQ(JsonValue(json, name), static_cast<int64_t>(value)) << name;
   }
+  // No policy evicts plans on a manager's behalf, so no series counts it.
+  EXPECT_EQ(JsonValue(json, "plan_cache.targeted_evictions"), -1);
 }
 
 // --- Hits served by any idle shard ---------------------------------------
